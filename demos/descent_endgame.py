@@ -15,7 +15,6 @@ Run:  python3 demos/descent_endgame.py
 from nadescent import (
     JacobianLocalData,
     TableEnumerator,
-    annihilator_N,
     enlarged_prime_set,
     jacobian_order_mod,
     run_descent,
@@ -44,14 +43,14 @@ def main() -> None:
         print(f"  #E(Z/{P}^{m}) = {jacobian_order_mod(data, m)}")
 
     modulus = 2  # e.g. separation pinned the zeros mod 5^2
-    n_value = annihilator_N(data, modulus)
+    n_value = jacobian_order_mod(data, modulus)
     t0 = enlarged_prime_set({11}, n_value)
     print(f"separation modulus M = {modulus}  ->  annihilator N = {n_value}")
     print(f"enlarged prime set T0 = S u primes(N) = {sorted(t0)}")
     print()
 
-    lower = TableEnumerator.from_levels([[], ["P1"], ["P1", "P2"]])
-    upper = TableEnumerator.from_levels(
+    lower = TableEnumerator([[], ["P1"], ["P1", "P2"]])
+    upper = TableEnumerator(
         [["P1", "P2", "P3"], ["P1", "P2", "P3"], ["P1", "P2"]]
     )
     print("two-sided search: lower certifies one point per level, the")
@@ -64,8 +63,8 @@ def main() -> None:
     print()
 
     stuck = run_descent(
-        TableEnumerator.from_levels([["P1"]]),
-        TableEnumerator.from_levels([["P1", "P2"]]),
+        TableEnumerator([["P1"]]),
+        TableEnumerator([["P1", "P2"]]),
         n_cap=8,
         m_cap=8,
     )

@@ -13,7 +13,8 @@ Subcommands mirror the pipeline stages:
 
 Exit codes: 0 success; 2 invalid input (domain errors, bad usage); 3 a
 configured bound or budget was exhausted before a decision (no halting
-level within the cap, search caps hit, factoring budget spent); 4 a p-adic
+level within the cap, search caps hit, factoring budget spent, an output
+integer past the interpreter's int/str digit limit); 4 a p-adic
 precision failure (separation not achieved, precision exhausted mid-
 integration); 5 an internal invariant was violated.
 """
@@ -29,11 +30,12 @@ from .arith import DEFAULT_FACTOR_BUDGET
 from .descent_arith import (
     JacobianLocalData,
     WeilBoundWarning,
-    annihilator_N,
     count_from_frobenius_poly,
     enlarged_prime_set,
+    jacobian_order_mod,
 )
 from .errors import (
+    DigitLimitError,
     DomainError,
     FactorizationTimeoutError,
     InvariantError,
@@ -43,18 +45,20 @@ from .errors import (
 from .iterated_words import FormSystem, evaluate_observable
 from .jsonio import (
     canonical_dumps,
+    canonicalize,
     charts_from_json,
     descent_fixture_from_json,
     forms_from_json,
     load_json_file,
     observable_from_json,
     parse_int,
+    require,
     separation_report_to_json,
     series_to_json,
 )
 from .lie_dims import DEFAULT_LEVEL_CAP, cumulative_dim, graded_dims, validate_genus
 from .padic_series import SeparationStatus, separation_modulus
-from .selmer_bounds import BoundTable, CurveParams, ParityMode, halting_level
+from .selmer_bounds import CurveParams, ParityMode, halting_level
 from .two_sided_search import TableEnumerator, run_descent
 
 EXIT_OK = 0
@@ -69,40 +73,24 @@ EXIT_INTERNAL = 5
 # ---------------------------------------------------------------------------
 
 
-def _is_int_token(text: str) -> bool:
-    body = text.lstrip("+-")
-    return bool(body) and body.isdigit() and len(text) - len(body) <= 1
-
-
 def _parse_prime_list(text: Optional[str], flag: str) -> frozenset[int]:
     if text is None or text.strip() == "":
         return frozenset()
-    out = set()
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not _is_int_token(piece):
-            raise DomainError(f"{flag}: {piece!r} is not an integer")
-        out.add(int(piece))
-    return frozenset(out)
+    return frozenset(parse_int(piece, flag) for piece in text.split(","))
 
 
 def _parse_rank_spec(text: str) -> List[int]:
     """Either a single rank '3' or an inclusive sweep '0..5'."""
-    text = text.strip()
     if ".." in text:
         lo_s, _, hi_s = text.partition("..")
-        if not (lo_s.isdigit() and hi_s.isdigit()):
-            raise DomainError(f"--rank: cannot parse sweep {text!r}; use e.g. 0..5")
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = parse_int(lo_s, "--rank"), parse_int(hi_s, "--rank")
         if lo > hi:
-            raise DomainError(f"--rank: empty sweep {text!r}")
+            raise DomainError(f"--rank: empty sweep {text.strip()!r}")
         return list(range(lo, hi + 1))
-    if not text.isdigit():
-        raise DomainError(f"--rank: {text!r} is not a rank or a sweep like 0..5")
-    return [int(text)]
+    return [parse_int(text, "--rank")]
 
 
-def _curve_params(args) -> CurveParams:
+def _curve_params(args, rank: int) -> CurveParams:
     bad = _parse_prime_list(args.bad_primes, "--bad-primes")
     if bad:
         if args.bad_count is not None and args.bad_count != len(bad):
@@ -120,7 +108,7 @@ def _curve_params(args) -> CurveParams:
         g=args.genus,
         bad_prime_count=count,
         p=args.p,
-        mw_rank=args.rank_value,
+        mw_rank=rank,
         bad_primes=bad,
     )
 
@@ -141,16 +129,11 @@ def _render_csv(kind: str, doc: Dict[str, Any]) -> str:
         lines += [
             f"{r['n']},{r['selmer_ub']},{r['derham_lb']}" for r in doc["rows"]
         ]
-    elif kind == "halt":
+    else:
         lines = ["mw_rank,mode,halting_level"]
         for r in doc["results"]:
             level = "" if r["halting_level"] is None else r["halting_level"]
             lines.append(f"{r['mw_rank']},{r['mode']},{level}")
-    else:
-        raise DomainError(
-            "csv output is only available for the tabular commands "
-            "(dims, bounds, halt)"
-        )
     return "\n".join(lines) + "\n"
 
 
@@ -191,7 +174,7 @@ def _render_plain(kind: str, doc: Dict[str, Any]) -> str:
         lines = [f"N = {doc['annihilator']}"]
         if "enlarged_primes" in doc:
             lines.append(
-                "T0 = {" + ", ".join(str(q) for q in doc["enlarged_primes"]) + "}"
+                "T0 = {" + ", ".join(doc["enlarged_primes"]) + "}"
             )
         lines += [f"warning: {w}" for w in doc["warnings"]]
         return "\n".join(lines) + "\n"
@@ -203,10 +186,16 @@ def _emit(args, kind: str, doc: Dict[str, Any]) -> None:
     style = getattr(args, "output", "json")
     if style == "json":
         text = canonical_dumps(doc)
-    elif style == "csv":
-        text = _render_csv(kind, doc)
+    elif style == "csv" and kind not in ("dims", "bounds", "halt"):
+        raise DomainError(
+            "csv output is only available for the tabular commands "
+            "(dims, bounds, halt)"
+        )
     else:
-        text = _render_plain(kind, doc)
+        # the renderers format the canonical decimal strings, so every
+        # integer reaches text through canonicalize
+        render = _render_csv if style == "csv" else _render_plain
+        text = render(kind, canonicalize(doc))
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -237,17 +226,12 @@ def _cmd_dims(args) -> int:
     return EXIT_OK
 
 
-def _table_doc(table: BoundTable) -> Dict[str, Any]:
-    return table.to_json_dict()
-
-
 def _cmd_bounds(args) -> int:
-    args.rank_value = _single_rank(args.rank)
-    params = _curve_params(args)
+    params = _curve_params(args, _single_rank(args.rank))
     table = halting_level(
         params, n_cap=args.n_cap, mode=ParityMode.parse(args.mode)
     )
-    _emit(args, "bounds", _table_doc(table))
+    _emit(args, "bounds", table.to_json_dict())
     return EXIT_OK
 
 
@@ -268,8 +252,7 @@ def _cmd_halt(args) -> int:
     results = []
     missed = False
     for rank in ranks:
-        args.rank_value = rank
-        params = _curve_params(args)
+        params = _curve_params(args, rank)
         for mode in modes:
             table = halting_level(params, n_cap=args.n_cap, mode=mode)
             if table.halting_level is None:
@@ -285,7 +268,7 @@ def _cmd_halt(args) -> int:
     doc = {
         "g": args.genus,
         "p": args.p,
-        "bad_prime_count": _curve_params(args).bad_prime_count,
+        "bad_prime_count": params.bad_prime_count,
         "n_cap": args.n_cap,
         "results": results,
     }
@@ -316,9 +299,11 @@ def _cmd_integrate(args) -> int:
     series = evaluate_observable(obs, system, trunc)
     bound_raw = doc_in.get("weierstrass_bound")
     if bound_raw is not None:
-        series = series.with_weierstrass_bound(
-            parse_int(bound_raw, "$.weierstrass_bound")
-        )
+        bound = parse_int(bound_raw, "$.weierstrass_bound")
+        try:
+            series = series.with_weierstrass_bound(bound)
+        except DomainError as exc:
+            raise DomainError(f"$.weierstrass_bound: {exc}") from exc
     _emit(args, "integrate", {"series": series_to_json(series)})
     return EXIT_OK
 
@@ -329,17 +314,13 @@ def _cmd_order(args) -> int:
     if args.count_fp is not None:
         count_fp = args.count_fp
     else:
-        pieces = [s.strip() for s in args.l_poly.split(",") if s.strip()]
-        coeffs = []
-        for s in pieces:
-            if not _is_int_token(s):
-                raise DomainError(f"--l-poly: {s!r} is not an integer")
-            coeffs.append(int(s))
-        count_fp = count_from_frobenius_poly(coeffs)
+        count_fp = count_from_frobenius_poly(
+            [parse_int(s, "--l-poly") for s in args.l_poly.split(",") if s.strip()]
+        )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         data = JacobianLocalData(p=args.p, g=args.genus, count_fp=count_fp)
-        n_value = annihilator_N(data, args.modulus_exponent)
+        n_value = jacobian_order_mod(data, args.modulus_exponent)
     doc: Dict[str, Any] = {
         "p": args.p,
         "g": args.genus,
@@ -365,8 +346,8 @@ def _cmd_descent_sim(args) -> int:
     doc_in = load_json_file(args.input)
     lower_levels, upper_levels = descent_fixture_from_json(doc_in)
     outcome = run_descent(
-        TableEnumerator.from_levels(lower_levels),
-        TableEnumerator.from_levels(upper_levels),
+        TableEnumerator(lower_levels),
+        TableEnumerator(upper_levels),
         n_cap=args.n_cap,
         m_cap=args.m_cap,
     )
@@ -389,10 +370,10 @@ def _cmd_report(args) -> int:
     curve = config.get("curve")
     if not isinstance(curve, dict):
         raise DomainError("$.curve: missing required object")
-    genus = parse_int(_field(curve, "genus", "$.curve"), "$.curve.genus")
-    p = parse_int(_field(curve, "p", "$.curve"), "$.curve.p")
-    rank = parse_int(_field(curve, "mw_rank", "$.curve"), "$.curve.mw_rank")
-    bad_raw = _field(curve, "bad_primes", "$.curve")
+    genus = parse_int(require(curve, "genus", "$.curve"), "$.curve.genus")
+    p = parse_int(require(curve, "p", "$.curve"), "$.curve.p")
+    rank = parse_int(require(curve, "mw_rank", "$.curve"), "$.curve.mw_rank")
+    bad_raw = require(curve, "bad_primes", "$.curve")
     if not isinstance(bad_raw, list):
         raise DomainError("$.curve.bad_primes: expected an array of primes")
     bad = frozenset(
@@ -429,8 +410,6 @@ def _cmd_report(args) -> int:
         raise DomainError("$.charts: missing required field")
     charts, _p = charts_from_json(
         {"p": p, "prec": config.get("prec"), "charts": config["charts"]}
-        if config.get("prec") is not None
-        else {"p": p, "charts": config["charts"]}
     )
     report = separation_modulus(charts, depth_cap=depth_cap, jobs=args.jobs)
     doc["separation"] = separation_report_to_json(report)
@@ -443,13 +422,13 @@ def _cmd_report(args) -> int:
     jac = config.get("jacobian")
     if not isinstance(jac, dict):
         raise DomainError("$.jacobian: missing required object")
-    count_fp = parse_int(_field(jac, "count_fp", "$.jacobian"), "$.jacobian.count_fp")
+    count_fp = parse_int(require(jac, "count_fp", "$.jacobian"), "$.jacobian.count_fp")
     jac_g = parse_int(jac.get("g", genus), "$.jacobian.g")
     doc["inputs"]["jacobian"] = {"g": jac_g, "count_fp": count_fp}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         data = JacobianLocalData(p=p, g=jac_g, count_fp=count_fp)
-        n_value = annihilator_N(data, report.modulus)
+        n_value = jacobian_order_mod(data, report.modulus)
     t0 = enlarged_prime_set(bad, n_value, budget=args.factor_budget)
 
     doc["modulus_exponent"] = report.modulus
@@ -461,12 +440,6 @@ def _cmd_report(args) -> int:
     doc["status"] = "complete"
     _emit(args, "report", doc)
     return EXIT_OK
-
-
-def _field(doc: dict, key: str, path: str) -> Any:
-    if key not in doc:
-        raise DomainError(f"{path}.{key}: missing required field")
-    return doc[key]
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +590,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except FactorizationTimeoutError as exc:
+    except (FactorizationTimeoutError, DigitLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND_EXHAUSTED
     except PrecisionError as exc:

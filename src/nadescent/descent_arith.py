@@ -108,7 +108,8 @@ class JacobianLocalData:
 
 
 def jacobian_order_mod(data: JacobianLocalData, modulus_exponent: int) -> int:
-    """#J(Z/p^M) = #J(F_p) * p^(g (M - 1)), exact for good reduction."""
+    """#J(Z/p^M) = #J(F_p) * p^(g (M - 1)), exact for good reduction; this
+    order is the annihilator N of the local group at level p^M."""
     if (
         not isinstance(modulus_exponent, int)
         or isinstance(modulus_exponent, bool)
@@ -118,11 +119,6 @@ def jacobian_order_mod(data: JacobianLocalData, modulus_exponent: int) -> int:
             f"modulus exponent must be an integer >= 1, got {modulus_exponent!r}"
         )
     return data.count_fp * data.p ** (data.g * (modulus_exponent - 1))
-
-
-def annihilator_N(data: JacobianLocalData, modulus_exponent: int) -> int:
-    """The integer N killing the local group at level p^M: its order."""
-    return jacobian_order_mod(data, modulus_exponent)
 
 
 def enlarged_prime_set(

@@ -68,6 +68,11 @@ class IrregularFormError(DomainError):
     cannot be integrated on the closed unit disk."""
 
 
+class DigitLimitError(NadescentError):
+    """An integer to be printed has more decimal digits than the
+    interpreter's int/str conversion limit (``PYTHONINTMAXSTRDIGITS``)."""
+
+
 class FactorizationTimeoutError(NadescentError):
     """Factoring exceeded its configured work budget."""
 

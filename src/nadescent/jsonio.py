@@ -20,9 +20,10 @@ from __future__ import annotations
 import enum
 import json
 import re
+import sys
 from typing import Any, Dict, List, Optional, Tuple
 
-from .errors import DomainError, InvariantError
+from .errors import DigitLimitError, DomainError, InvariantError
 from .iterated_words import Observable
 from .padic_series import (
     DEFAULT_PRECISION,
@@ -49,9 +50,15 @@ def parse_int(value: Any, path: str) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        if _INT_RE.match(value.strip()):
-            return int(value.strip())
-        raise DomainError(f"{path}: {value!r} is not a decimal integer")
+        text = value.strip()
+        if not _INT_RE.match(text):
+            raise DomainError(f"{path}: {value!r} is not a decimal integer")
+        try:
+            return int(text)
+        except ValueError:  # the only way a matched decimal string fails
+            raise DomainError(
+                f"{path}: a decimal integer of {_too_many_digits(len(text))}"
+            ) from None
     if isinstance(value, float):
         raise DomainError(
             f"{path}: floats are not accepted; write the integer as a string"
@@ -59,7 +66,16 @@ def parse_int(value: Any, path: str) -> int:
     raise DomainError(f"{path}: expected an integer, got {type(value).__name__}")
 
 
-def _require(doc: Any, key: str, path: str) -> Any:
+def _too_many_digits(digits: int) -> str:
+    return (
+        f"{digits} digits, more than this interpreter's limit of "
+        f"{sys.get_int_max_str_digits()} for int/str conversion "
+        f"(PYTHONINTMAXSTRDIGITS)"
+    )
+
+
+def require(doc: Any, key: str, path: str) -> Any:
+    """``doc[key]``, or a DomainError naming ``path.key`` when it is absent."""
     if not isinstance(doc, dict):
         raise DomainError(f"{path}: expected an object")
     if key not in doc:
@@ -91,11 +107,11 @@ def coeff_from_json(obj: Any, p: int, prec: int, path: str) -> PadicNumber:
         if "zero_to" in obj:
             return PadicNumber.zero_to(p, parse_int(obj["zero_to"], f"{path}.zero_to"))
         if "unit" in obj or "val" in obj:
-            val = parse_int(_require(obj, "val", path), f"{path}.val")
-            unit = parse_int(_require(obj, "unit", path), f"{path}.unit")
-            cprec = parse_int(_require(obj, "prec", path), f"{path}.prec")
+            val = parse_int(require(obj, "val", path), f"{path}.val")
+            unit = parse_int(require(obj, "unit", path), f"{path}.unit")
+            cprec = parse_int(require(obj, "prec", path), f"{path}.prec")
             try:
-                return PadicNumber.unit_form(p, val, unit, cprec)
+                return PadicNumber(p, val, unit, cprec)
             except DomainError as exc:
                 raise DomainError(f"{path}: {exc}") from exc
     raise DomainError(
@@ -115,7 +131,7 @@ def coeff_to_json(x: PadicNumber) -> Dict[str, Any]:
 def series_from_json(
     obj: Any, p: int, prec: int, path: str, require_bound: bool = False
 ) -> PadicSeries:
-    coeffs_raw = _require(obj, "coeffs", path)
+    coeffs_raw = require(obj, "coeffs", path)
     if not isinstance(coeffs_raw, list) or not coeffs_raw:
         raise DomainError(f"{path}.coeffs: expected a nonempty array")
     coeffs = [
@@ -175,14 +191,14 @@ def charts_from_json(doc: Any, path: str = "$") -> Tuple[List[Chart], int]:
         if prec_raw is not None
         else DEFAULT_PRECISION
     )
-    charts_raw = _require(doc, "charts", path)
+    charts_raw = require(doc, "charts", path)
     if not isinstance(charts_raw, list) or not charts_raw:
         raise DomainError(f"{path}.charts: expected a nonempty array")
     charts: List[Chart] = []
     p: Optional[int] = top_p
     for i, chart_obj in enumerate(charts_raw):
         cpath = f"{path}.charts[{i}]"
-        chart_id = _require(chart_obj, "chart_id", cpath)
+        chart_id = require(chart_obj, "chart_id", cpath)
         if not isinstance(chart_id, str) or not chart_id:
             raise DomainError(f"{cpath}.chart_id: expected a nonempty string")
         chart_p_raw = _optional(chart_obj, "p")
@@ -197,7 +213,7 @@ def charts_from_json(doc: Any, path: str = "$") -> Tuple[List[Chart], int]:
                     f"{cpath}.p: {chart_p} disagrees with p={p} used elsewhere"
                 )
             p = chart_p
-        disks_raw = _require(chart_obj, "disks", cpath)
+        disks_raw = require(chart_obj, "disks", cpath)
         if not isinstance(disks_raw, list) or not disks_raw:
             raise DomainError(f"{cpath}.disks: expected a nonempty array")
         disks = []
@@ -252,14 +268,14 @@ def separation_report_to_json(report: SeparationReport) -> Dict[str, Any]:
 def forms_from_json(doc: Any, path: str = "$") -> Tuple[List[PadicSeries], int, int]:
     """Returns (forms, p, prec).  Forms may be plain coefficient arrays or
     series objects."""
-    p = parse_int(_require(doc, "p", path), f"{path}.p")
+    p = parse_int(require(doc, "p", path), f"{path}.p")
     prec_raw = _optional(doc, "prec")
     prec = (
         parse_int(prec_raw, f"{path}.prec")
         if prec_raw is not None
         else DEFAULT_PRECISION
     )
-    forms_raw = _require(doc, "forms", path)
+    forms_raw = require(doc, "forms", path)
     if not isinstance(forms_raw, list) or not forms_raw:
         raise DomainError(f"{path}.forms: expected a nonempty array")
     forms = []
@@ -277,7 +293,7 @@ def observable_from_json(doc: Any, p: int, prec: int, path: str) -> Observable:
     terms = []
     for i, term_obj in enumerate(doc):
         tpath = f"{path}[{i}]"
-        word_raw = _require(term_obj, "word", tpath)
+        word_raw = require(term_obj, "word", tpath)
         if not isinstance(word_raw, list):
             raise DomainError(f"{tpath}.word: expected an array of letters")
         word = tuple(
@@ -285,7 +301,7 @@ def observable_from_json(doc: Any, p: int, prec: int, path: str) -> Observable:
             for j, letter in enumerate(word_raw)
         )
         coeff = coeff_from_json(
-            _require(term_obj, "coeff", tpath), p, prec, f"{tpath}.coeff"
+            require(term_obj, "coeff", tpath), p, prec, f"{tpath}.coeff"
         )
         terms.append((word, coeff))
     try:
@@ -305,7 +321,7 @@ def descent_fixture_from_json(
     """Point labels are opaque; they are normalized to strings on parse."""
 
     def levels(key: str) -> List[frozenset]:
-        raw = _require(doc, key, path)
+        raw = require(doc, key, path)
         if not isinstance(raw, list) or not raw:
             raise DomainError(f"{path}.{key}: expected a nonempty array of levels")
         out = []
@@ -339,7 +355,14 @@ def canonicalize(obj: Any) -> Any:
     if isinstance(obj, enum.Enum):
         return canonicalize(obj.value)
     if isinstance(obj, int):
-        return str(obj)
+        try:
+            return str(obj)
+        except ValueError:  # int -> str fails only past the digit limit
+            raise DigitLimitError(
+                "an output integer has more decimal digits than this "
+                f"interpreter's int/str limit of {sys.get_int_max_str_digits()}; "
+                "raise PYTHONINTMAXSTRDIGITS (0 lifts it) to print it"
+            ) from None
     if isinstance(obj, float):
         raise InvariantError(
             f"float {obj!r} reached the serializer; all arithmetic here is exact"
@@ -363,9 +386,17 @@ def canonical_dumps(doc: Any) -> str:
 
 
 def load_json_file(filename: str) -> Any:
+    def integer_literal(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:  # json hands over only valid integer literals
+            raise DomainError(
+                f"{filename}: an integer literal of {_too_many_digits(len(text))}"
+            ) from None
+
     try:
         with open(filename, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=integer_literal)
     except FileNotFoundError as exc:
         raise DomainError(f"input file {filename!r} not found") from exc
     except json.JSONDecodeError as exc:

@@ -24,8 +24,10 @@ Everything here is arbitrary-precision integer arithmetic; no floats.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
+from itertools import accumulate
 
 from .arith import divisors, mobius
 from .errors import DomainError, InvariantError
@@ -33,6 +35,11 @@ from .errors import DomainError, InvariantError
 #: Default ceiling on n_max; raise explicitly via the ``cap`` argument if a
 #: computation genuinely needs deeper levels.
 DEFAULT_LEVEL_CAP = 10_000
+
+#: How many genera the graded-dimension cache keeps.
+_CACHE_GENERA = 64
+_cache: dict[int, GradedDims] = {}  # genus -> longest prefix computed so far
+_cache_lock = threading.Lock()
 
 
 def validate_genus(g: int) -> int:
@@ -46,10 +53,13 @@ def lucas_sequence(g: int, n_max: int) -> list[int]:
     validate_genus(g)
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    seq = [2, 2 * g]
+    return _extend_lucas([2, 2 * g], g, n_max)[: n_max + 1]
+
+
+def _extend_lucas(seq: list[int], g: int, n_max: int) -> list[int]:
     while len(seq) <= n_max:
         seq.append(2 * g * seq[-1] - seq[-2])
-    return seq[: n_max + 1]
+    return seq
 
 
 @dataclass(frozen=True)
@@ -59,6 +69,11 @@ class GradedDims:
     g: int
     lucas: tuple[int, ...]     # L_0 .. L_n_max
     graded: tuple[int, ...]    # r_1 .. r_n_max
+
+    @cached_property
+    def _cumulative(self) -> tuple[int, ...]:
+        """dim U_1 .. dim U_(n_max + 1): the prefix sums of ``graded``."""
+        return tuple(accumulate(self.graded, initial=0))
 
     @property
     def n_max(self) -> int:
@@ -76,7 +91,10 @@ class GradedDims:
 
 
 def graded_dims(g: int, n_max: int, cap: int = DEFAULT_LEVEL_CAP) -> GradedDims:
-    """Dimensions r_1..r_n_max of the graded pieces, by Moebius inversion."""
+    """Dimensions r_1..r_n_max of the graded pieces, by Moebius inversion.
+
+    Cached per genus: a longer request extends the longest prefix computed
+    so far, a shorter one is sliced from it."""
     validate_genus(g)
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
@@ -85,14 +103,23 @@ def graded_dims(g: int, n_max: int, cap: int = DEFAULT_LEVEL_CAP) -> GradedDims:
             f"n_max={n_max} exceeds the level cap {cap}; pass a larger cap "
             "explicitly if this is intentional"
         )
-    return _graded_dims_cached(g, n_max)
+    known = _cache.get(g)
+    if known is None or known.n_max < n_max:
+        known = _extend(g, known, n_max)
+        with _cache_lock:
+            _cache[g] = known
+            if len(_cache) > _CACHE_GENERA:
+                del _cache[next(iter(_cache))]
+    if known.n_max == n_max:
+        return known
+    return GradedDims(g, known.lucas[: n_max + 1], known.graded[:n_max])
 
 
-@lru_cache(maxsize=64)
-def _graded_dims_cached(g: int, n_max: int) -> GradedDims:
-    lucas = lucas_sequence(g, n_max)
-    graded = []
-    for n in range(1, n_max + 1):
+def _extend(g: int, known: GradedDims | None, n_max: int) -> GradedDims:
+    """A new GradedDims through n_max that reuses the levels ``known`` has."""
+    lucas = _extend_lucas(list(known.lucas) if known else [2, 2 * g], g, n_max)
+    graded = list(known.graded) if known else []
+    for n in range(len(graded) + 1, n_max + 1):
         total = sum(mobius(n // d) * lucas[d] for d in divisors(n))
         if total % n != 0:
             raise InvariantError(
@@ -113,4 +140,4 @@ def cumulative_dim(dims: GradedDims, n: int) -> int:
             f"cumulative dimension defined for 2 <= n <= {dims.n_max + 1}, "
             f"got {n}"
         )
-    return sum(dims.graded[: n - 1])
+    return dims._cumulative[n - 1]

@@ -29,7 +29,9 @@ determine its zeros on the closed unit disk.  That analytic fact must be
 supplied by the caller as ``weierstrass_bound`` (d*): all zeros of the
 represented function with valuation >= 0 are governed by coefficient indices
 i <= d*.  For an honest polynomial, d* is its degree.  Polygon construction
-and root counting refuse to run without it.
+and root counting refuse to run without it, and a series refuses a bound its
+visible coefficients refute: a unit-form c_i with i > d* whose valuation is
+at most every certified valuation floor at or below d*.
 """
 
 from __future__ import annotations
@@ -60,9 +62,9 @@ DEFAULT_PRECISION = 20
 class PadicNumber:
     """A p-adic number known to finite precision.  Immutable.
 
-    Use the classmethods (:meth:`from_int`, :meth:`from_fraction`,
-    :meth:`unit_form`, :meth:`zero`, :meth:`zero_to`) rather than the raw
-    constructor.
+    ``PadicNumber(p, val, unit, prec)`` is the unit form ``unit * p^val``
+    known modulo ``p^(val + prec)``; the classmethods (:meth:`from_int`,
+    :meth:`from_fraction`, :meth:`zero`, :meth:`zero_to`) build the rest.
     """
 
     __slots__ = ("p", "val", "unit", "prec")
@@ -102,10 +104,6 @@ class PadicNumber:
     def zero_to(cls, p: int, k: int) -> "PadicNumber":
         """O(p^k): indistinguishable from zero below precision k."""
         return cls(p, k, None, 0)
-
-    @classmethod
-    def unit_form(cls, p: int, val: int, unit: int, prec: int) -> "PadicNumber":
-        return cls(p, val, unit, prec)
 
     @classmethod
     def from_int(cls, p: int, n: int, prec: int = DEFAULT_PRECISION) -> "PadicNumber":
@@ -311,12 +309,26 @@ class PadicSeries:
                 raise PrimeMismatchError(
                     f"coefficient over p={c.p} in a series over p={p}"
                 )
-        if weierstrass_bound is not None and not (
-            0 <= weierstrass_bound <= len(coeffs) - 1
-        ):
-            raise DomainError(
-                f"weierstrass bound {weierstrass_bound} outside 0..{len(coeffs) - 1}"
-            )
+        if weierstrass_bound is not None:
+            if not 0 <= weierstrass_bound <= len(coeffs) - 1:
+                raise DomainError(
+                    f"weierstrass bound {weierstrass_bound} outside "
+                    f"0..{len(coeffs) - 1}"
+                )
+            start = weierstrass_bound + 1
+            if start < len(coeffs):
+                floor = min(
+                    (c.val for c in coeffs[:start] if c.val is not None),
+                    default=None,
+                )
+                for i, c in enumerate(coeffs[start:], start):
+                    if c.unit is not None and (floor is None or c.val <= floor):
+                        raise DomainError(
+                            f"weierstrass bound {weierstrass_bound} is refuted "
+                            f"by coefficient {i} of valuation {c.val}, which no "
+                            f"coefficient at or below the bound is known to "
+                            f"exceed"
+                        )
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "weierstrass_bound", weierstrass_bound)
@@ -654,10 +666,6 @@ class IsolationFailure:
     residual_count: Optional[int]
 
 
-def _center_int(digits: tuple[int, ...], p: int) -> int:
-    return sum(d * p**j for j, d in enumerate(digits))
-
-
 def _isolate_classes(
     f: PadicSeries, chart_id: str, depth_cap: int
 ) -> tuple[list[ZeroDisk], list[IsolationFailure]]:
@@ -677,10 +685,11 @@ def _isolate_classes(
             return True
         return a.val > 2 * b.val
 
-    def walk(digits: tuple[int, ...], series: PadicSeries) -> None:
+    def walk(digits: tuple[int, ...], center: int, series: PadicSeries) -> None:
         for c in range(p):
             shifted = series.shift_center(c)
             child = digits + (c,)
+            child_center = center + c * p ** len(digits)
             depth = len(child)
             try:
                 count = root_count_positive_valuation(shifted)
@@ -694,7 +703,7 @@ def _isolate_classes(
                 continue
             if count == 0:
                 continue
-            if count == 1 and newton_certified(_center_int(child, p)):
+            if count == 1 and newton_certified(child_center):
                 disks.append(ZeroDisk(chart_id, child, depth, 1, False))
                 continue
             if depth >= depth_cap:
@@ -707,9 +716,9 @@ def _isolate_classes(
                     IsolationFailure(chart_id, child, depth, reason, count)
                 )
                 continue
-            walk(child, shifted.rescale_p())
+            walk(child, child_center, shifted.rescale_p())
 
-    walk((), f)
+    walk((), 0, f)
     return disks, failures
 
 

@@ -35,9 +35,8 @@ bookkeeping.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .arith import is_prime
 from .errors import DomainError, ParityError
@@ -58,11 +57,6 @@ class ParityMode(enum.Enum):
         raise DomainError(
             f"unknown parity mode {text!r}; expected 'faithful' or 'verbatim'"
         )
-
-
-class Place(enum.Enum):
-    BAD_PRIME = "bad"
-    GOOD_P = "good"
 
 
 @dataclass(frozen=True)
@@ -152,13 +146,14 @@ def minus_dim_bound(dims: GradedDims, n: int, mode: ParityMode) -> int:
     return rn
 
 
-def local_h2_bound(g: int, n: int, place: Place) -> int:
-    """Upper bound for one local H^2 contribution in degree n."""
+def local_h2_bound(g: int, n: int, *, bad_prime: bool) -> int:
+    """Upper bound for one local H^2 contribution in degree n, at a prime of
+    bad reduction or at the good working prime p."""
     validate_genus(g)
     if n < 1:
         raise DomainError(f"degree must be >= 1, got {n}")
     good = n * g**n
-    if place is Place.GOOD_P:
+    if not bad_prime:
         return good
     pairs = n * (n - 1) // 2
     if pairs == 0:
@@ -176,46 +171,15 @@ def h1_step_bound(
         raise DomainError(f"|S| must be >= 0, got {s_count}")
     return (
         minus_dim_bound(dims, n, mode)
-        + s_count * local_h2_bound(dims.g, n, Place.BAD_PRIME)
-        + local_h2_bound(dims.g, n, Place.GOOD_P)
+        + s_count * local_h2_bound(dims.g, n, bad_prime=True)
+        + local_h2_bound(dims.g, n, bad_prime=False)
     )
 
 
-def middle_hodge_component_bound(g: int, m: int) -> int:
-    """binom(2m, m) * g^(2m): the ambient dimension of the middle (m, m)
-    Hodge component in even weight 2m.
-
-    Documented for a future refinement of the even-degree bookkeeping; it
-    enters none of the bounds computed here.
-    """
-    validate_genus(g)
-    if m < 1:
-        raise DomainError(f"half-weight must be >= 1, got {m}")
-    return math.comb(2 * m, m) * g ** (2 * m)
-
-
-def selmer_ub_table(
+def _bound_rows(
     params: CurveParams, dims: GradedDims, n_cap: int, mode: ParityMode
-) -> list[int]:
-    """[UB(2), ..., UB(n_cap)]."""
-    _check_cap(dims, n_cap)
-    ub = [params.mw_rank]
-    for n in range(2, n_cap):
-        ub.append(ub[-1] + h1_step_bound(dims, n, params.bad_prime_count, mode))
-    return ub
-
-
-def derham_lb_table(dims: GradedDims, n_cap: int) -> list[int]:
-    """[LB(2), ..., LB(n_cap)]."""
-    _check_cap(dims, n_cap)
-    g = dims.g
-    lb = [g]
-    for n in range(2, n_cap):
-        lb.append(lb[-1] + max(0, dims.r(n) - g**n))
-    return lb
-
-
-def _check_cap(dims: GradedDims, n_cap: int) -> None:
+) -> Iterator[BoundRow]:
+    """Rows (n, UB(n), LB(n)) for n = 2..n_cap, each step computed on demand."""
     if n_cap < 2:
         raise DomainError(f"n_cap must be >= 2, got {n_cap}")
     if n_cap - 1 > dims.n_max:
@@ -223,24 +187,13 @@ def _check_cap(dims: GradedDims, n_cap: int) -> None:
             f"need graded dimensions through degree {n_cap - 1}, have "
             f"{dims.n_max}"
         )
-
-
-def bound_table(
-    params: CurveParams,
-    n_cap: int = 64,
-    mode: ParityMode = ParityMode.FAITHFUL,
-    dims: Optional[GradedDims] = None,
-) -> BoundTable:
-    """Full table over n = 2..n_cap, with halting_level set if one occurs."""
-    if dims is None:
-        dims = graded_dims(params.g, max(n_cap - 1, 1))
-    ubs = selmer_ub_table(params, dims, n_cap, mode)
-    lbs = derham_lb_table(dims, n_cap)
-    rows = tuple(
-        BoundRow(n, ub, lb) for n, (ub, lb) in enumerate(zip(ubs, lbs), start=2)
-    )
-    level = next((r.n for r in rows if r.selmer_ub < r.derham_lb), None)
-    return BoundTable(params=params, mode=mode, rows=rows, halting_level=level)
+    g = dims.g
+    ub, lb = params.mw_rank, g
+    yield BoundRow(2, ub, lb)
+    for n in range(2, n_cap):
+        ub += h1_step_bound(dims, n, params.bad_prime_count, mode)
+        lb += max(0, dims.r(n) - g**n)
+        yield BoundRow(n + 1, ub, lb)
 
 
 def halting_level(
@@ -257,20 +210,9 @@ def halting_level(
     """
     if dims is None:
         dims = graded_dims(params.g, max(n_cap - 1, 1))
-    _check_cap(dims, n_cap)
-    g = dims.g
-    ub, lb = params.mw_rank, g
-    rows = [BoundRow(2, ub, lb)]
-    n = 2
-    while ub >= lb and n < n_cap:
-        ub += h1_step_bound(dims, n, params.bad_prime_count, mode)
-        lb += max(0, dims.r(n) - g**n)
-        n += 1
-        rows.append(BoundRow(n, ub, lb))
-    found = ub < lb
-    return BoundTable(
-        params=params,
-        mode=mode,
-        rows=tuple(rows),
-        halting_level=n if found else None,
-    )
+    rows = []
+    for row in _bound_rows(params, dims, n_cap, mode):
+        rows.append(row)
+        if row.selmer_ub < row.derham_lb:
+            return BoundTable(params, mode, tuple(rows), row.n)
+    return BoundTable(params, mode, tuple(rows))

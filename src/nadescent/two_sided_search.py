@@ -16,7 +16,7 @@ being smoothed over, since every later answer would inherit the lie.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, FrozenSet, Iterable, Optional, Protocol, Tuple
+from typing import AbstractSet, FrozenSet, Optional, Protocol, Tuple
 
 from .errors import ContainmentViolatedError, DomainError, MonotonicityError
 
@@ -47,10 +47,6 @@ class TableEnumerator:
         if not isinstance(level, int) or level < 0:
             raise DomainError(f"level must be a nonnegative integer, got {level!r}")
         return self.levels[min(level, len(self.levels) - 1)]
-
-    @classmethod
-    def from_levels(cls, levels: Iterable[Iterable]) -> "TableEnumerator":
-        return cls(tuple(frozenset(level) for level in levels))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ def capped_residue_coefficient(p: int, c: int, abs_prec: int = 6) -> PadicNumber
     while c % p == 0:
         c //= p
         v += 1
-    return PadicNumber.unit_form(p, v, c, abs_prec - v)
+    return PadicNumber(p, v, c, abs_prec - v)
 
 
 def capped_series(p: int, residues: Sequence[int], abs_prec: int = 6) -> PadicSeries:

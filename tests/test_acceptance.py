@@ -197,21 +197,21 @@ class TestAcceptance:
 
     def test_criterion_8_two_sided_search_schedule(self):
         out = run_descent(
-            TableEnumerator.from_levels([[], [1], [1, 2]]),
-            TableEnumerator.from_levels([[1, 2, 3], [1, 2, 3], [1, 2]]),
+            TableEnumerator([[], [1], [1, 2]]),
+            TableEnumerator([[1, 2, 3], [1, 2, 3], [1, 2]]),
         )
         assert out.converged and out.points == frozenset({1, 2})
         assert (out.lower_level, out.upper_level) == (2, 2)
 
         empty = run_descent(
-            TableEnumerator.from_levels([[]]), TableEnumerator.from_levels([[]])
+            TableEnumerator([[]]), TableEnumerator([[]])
         )
         assert empty.converged and empty.points == frozenset()
         assert (empty.lower_level, empty.upper_level) == (0, 0)
 
         capped = run_descent(
-            TableEnumerator.from_levels([[1]]),
-            TableEnumerator.from_levels([[1, 2]]),
+            TableEnumerator([[1]]),
+            TableEnumerator([[1, 2]]),
             n_cap=3,
             m_cap=3,
         )
@@ -238,8 +238,8 @@ class TestAcceptance:
                 step.remove(rng.choice(sorted(step - target)))
                 upper.append(step)
             out = run_descent(
-                TableEnumerator.from_levels(lower),
-                TableEnumerator.from_levels(upper),
+                TableEnumerator(lower),
+                TableEnumerator(upper),
             )
             assert out.converged, trial
             assert out.points == frozenset(target), trial
@@ -255,8 +255,8 @@ class TestAcceptance:
 
         with pytest.raises(ContainmentViolatedError):
             run_descent(
-                TableEnumerator.from_levels([[1, 9]]),
-                TableEnumerator.from_levels([[1, 2]]),
+                TableEnumerator([[1, 9]]),
+                TableEnumerator([[1, 2]]),
             )
         ok(8, "3 worked schedules + 17 random fixtures agree with exhaustive "
               "tabulation; containment violations raise")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -482,3 +483,112 @@ class TestReport:
         assert out == ""
         doc = json.loads(target.read_text(encoding="utf-8"))
         assert doc["status"] == "complete"
+
+
+class TestIntegerFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (TestHalt.BASE + ["--rank", "²"], "--rank"),
+            (TestHalt.BASE + ["--rank", "0..²"], "--rank"),
+            (["halt", "--g", "2", "--p", "101", "--bad-primes", "²",
+              "--rank", "0"], "--bad-primes"),
+            (["halt", "--g", "2", "--p", "101", "--bad-primes", "١١",
+              "--rank", "0"], "--bad-primes"),
+            (["order", "--p", "5", "--g", "1", "--l-poly", "1,²",
+              "--modulus-exponent", "2"], "--l-poly"),
+            (["order", "--p", "5", "--g", "1", "--count-fp", "9",
+              "--modulus-exponent", "2", "--enlarge", "١١"], "--enlarge"),
+        ],
+    )
+    def test_non_ascii_digits_are_refused(self, argv, flag):
+        code, out, err = invoke_cli(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag}: ")
+
+
+@pytest.fixture
+def low_digit_limit():
+    """The interpreter's smallest int/str digit limit, for cheap refusals."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+class TestDigitLimit:
+    @pytest.mark.parametrize("style", ["json", "csv", "plain"])
+    def test_long_dims_table_exits_3(self, low_digit_limit, style):
+        # L_1200 has 687 digits at g = 2
+        code, out, err = invoke_cli(
+            ["dims", "--g", "2", "--n", "1200", "--output", style]
+        )
+        assert (code, out) == (3, "")
+        assert "PYTHONINTMAXSTRDIGITS" in err
+
+    @pytest.mark.parametrize("style", ["json", "plain"])
+    def test_huge_annihilator_exits_3(self, style):
+        code, out, err = invoke_cli(
+            ["order", "--p", "5", "--g", "3", "--count-fp", "100",
+             "--modulus-exponent", "2100", "--output", style]
+        )
+        assert (code, out) == (3, "")
+        assert "PYTHONINTMAXSTRDIGITS" in err
+
+    def test_long_decimal_string_names_its_path(self, tmp_path):
+        path = write_json(
+            tmp_path, "long.json",
+            {"p": 5, "forms": [["1" + "0" * 5000, 0]],
+             "observable": [{"word": [1], "coeff": 1}]},
+        )
+        code, out, err = invoke_cli(["integrate", "--input", path])
+        assert (code, out) == (2, "")
+        assert "$.forms[0].coeffs[0]" in err
+        assert "PYTHONINTMAXSTRDIGITS" in err
+
+    def test_long_integer_literal_names_its_file(self, tmp_path):
+        path = tmp_path / "literal.json"
+        path.write_text(
+            '{"p": 5, "forms": [[1' + "0" * 5000 + ", 0]], "
+            '"observable": [{"word": [1], "coeff": 1}]}',
+            encoding="utf-8",
+        )
+        code, out, err = invoke_cli(["integrate", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert "literal.json" in err and "PYTHONINTMAXSTRDIGITS" in err
+
+
+class TestWeierstrassBound:
+    @staticmethod
+    def charts(tmp_path, bound):
+        # 1 + z^3 over p = 3: the root -1 lies in the unit disk
+        return write_json(
+            tmp_path, "cubic.json",
+            {"p": 3, "charts": [{"chart_id": "a", "disks": [
+                {"coeffs": [1, 0, 0, 1], "weierstrass_bound": bound}]}]},
+        )
+
+    def test_refuted_bound_is_rejected(self, tmp_path):
+        code, out, err = invoke_cli(
+            ["separate", "--input", self.charts(tmp_path, 0)]
+        )
+        assert (code, out) == (2, "")
+        assert "$.charts[0].disks[0]" in err
+
+    def test_honest_bound_finds_the_root(self, tmp_path):
+        doc = run_json(["separate", "--input", self.charts(tmp_path, 3)])
+        assert doc["status"] == "separated"
+        assert [d["center_digits"] for d in doc["disks"]] == [["2", "2"]]
+
+    def test_refuted_bound_on_an_integral_is_rejected(self, tmp_path):
+        # the integral z of f = 1 has a unit coefficient beyond d* = 0
+        path = write_json(
+            tmp_path, "bounded.json",
+            {"p": 3, "forms": [[1, 0, 0]], "weierstrass_bound": 0,
+             "observable": [{"word": [1], "coeff": 1}]},
+        )
+        code, out, err = invoke_cli(["integrate", "--input", path])
+        assert (code, out) == (2, "")
+        assert "$.weierstrass_bound" in err

@@ -12,7 +12,6 @@ from nadescent import (
     FactorizationTimeoutError,
     JacobianLocalData,
     WeilBoundWarning,
-    annihilator_N,
     count_from_frobenius_poly,
     enlarged_prime_set,
     jacobian_order_mod,
@@ -113,7 +112,7 @@ class TestJacobianOrderMod:
 
     def test_annihilator_alias(self):
         d = data(p=5, g=1, count=9)
-        assert annihilator_N(d, 2) == jacobian_order_mod(d, 2) == 45
+        assert jacobian_order_mod(d, 2) == 45
 
 
 class TestEnlargedPrimeSet:
@@ -196,4 +195,4 @@ class TestCountFromFrobeniusPoly:
     def test_feeds_local_data(self):
         count = count_from_frobenius_poly([1, -1, 5])
         d = JacobianLocalData(p=5, g=1, count_fp=count)
-        assert annihilator_N(d, 2) == 25
+        assert jacobian_order_mod(d, 2) == 25

@@ -117,7 +117,7 @@ class TestFormSystem:
 
     def test_rejects_non_integral_coefficient(self):
         bad = PadicSeries(
-            5, (PadicNumber.unit_form(5, -1, 1, 3), PadicNumber.zero(5))
+            5, (PadicNumber(5, -1, 1, 3), PadicNumber.zero(5))
         )
         with pytest.raises(IrregularFormError) as exc:
             FormSystem((PadicSeries.from_int_coeffs(5, [1, 0]), bad))
@@ -129,7 +129,7 @@ class TestFormSystem:
         assert FormSystem((edge,)).size == 1
 
     def test_working_prec_tracks_units(self):
-        low = PadicSeries(5, (PadicNumber.unit_form(5, 0, 2, 7),))
+        low = PadicSeries(5, (PadicNumber(5, 0, 2, 7),))
         assert FormSystem((low,)).working_prec == 7
 
 

@@ -16,6 +16,7 @@ from nadescent import (
     graded_dims,
     lucas_sequence,
 )
+from nadescent import lie_dims
 
 from .oracles import (
     graded_dim_by_inversion,
@@ -127,6 +128,38 @@ class TestGradedDims:
         dims = graded_dims(2, 40)
         assert all(type(x) is int for x in dims.lucas)
         assert all(type(x) is int for x in dims.graded)
+
+
+class TestGradedDimsCache:
+    def test_longer_request_computes_only_new_levels(self, monkeypatch):
+        monkeypatch.setattr(lie_dims, "_cache", {})
+        computed = []
+        real = lie_dims.divisors
+        monkeypatch.setattr(
+            lie_dims, "divisors", lambda n: computed.append(n) or real(n)
+        )
+        graded_dims(3, 63)
+        assert computed == list(range(1, 64))
+        computed.clear()
+        dims = graded_dims(3, 64)
+        assert computed == [64]
+        assert dims.n_max == 64 and dims.r(64) == graded_dim_by_inversion(3, 64)
+
+    def test_shorter_request_is_an_exact_prefix(self, monkeypatch):
+        monkeypatch.setattr(lie_dims, "_cache", {})
+        long = graded_dims(4, 30)
+        short = graded_dims(4, 12)
+        assert short.n_max == 12
+        assert short == GradedDims(4, long.lucas[:13], long.graded[:12])
+        assert [cumulative_dim(short, n) for n in range(2, 14)] == [
+            cumulative_dim(long, n) for n in range(2, 14)
+        ]
+
+    def test_bounded_by_genus_count(self, monkeypatch):
+        monkeypatch.setattr(lie_dims, "_cache", {})
+        for g in range(2, 2 + lie_dims._CACHE_GENERA + 5):
+            graded_dims(g, 2)
+        assert len(lie_dims._cache) == lie_dims._CACHE_GENERA
 
 
 class TestCumulativeDim:

@@ -38,16 +38,16 @@ class TestConstruction:
         assert x.valuation_floor() == 3
 
     def test_unit_form_normalizes_mod_p_prec(self):
-        x = PadicNumber.unit_form(5, 0, 7 + 25, 2)
+        x = PadicNumber(5, 0, 7 + 25, 2)
         assert x.unit == 7
 
     def test_unit_form_rejects_p_divisible_unit(self):
         with pytest.raises(DomainError):
-            PadicNumber.unit_form(5, 0, 10, 3)
+            PadicNumber(5, 0, 10, 3)
 
     def test_unit_form_rejects_nonpositive_precision(self):
         with pytest.raises(DomainError):
-            PadicNumber.unit_form(5, 0, 1, 0)
+            PadicNumber(5, 0, 1, 0)
 
     def test_from_fraction(self):
         half = PadicNumber.from_fraction(5, Fraction(1, 2))
@@ -75,8 +75,8 @@ class TestAddition:
         assert (N(2) + N(3)).val == 1  # 5 = 1*5^1
 
     def test_min_absolute_precision(self):
-        a = PadicNumber.unit_form(5, 0, 2, 3)   # known mod 5^3
-        b = PadicNumber.unit_form(5, 2, 1, 6)   # known mod 5^8
+        a = PadicNumber(5, 0, 2, 3)   # known mod 5^3
+        b = PadicNumber(5, 2, 1, 6)   # known mod 5^8
         s = a + b
         assert s.abs_prec() == 3
         assert (s.val, s.unit) == (0, (2 + 25) % 125)
@@ -111,17 +111,17 @@ class TestMultiplication:
         assert (N(99) * PadicNumber.zero(5)).is_exact_zero()
 
     def test_valuations_add_precision_min(self):
-        a = PadicNumber.unit_form(5, 1, 2, 3)
-        b = PadicNumber.unit_form(5, 2, 3, 7)
+        a = PadicNumber(5, 1, 2, 3)
+        b = PadicNumber(5, 2, 3, 7)
         prod = a * b
         assert (prod.val, prod.unit, prod.prec) == (3, 6, 3)
 
     def test_unknown_zero_shifts(self):
-        prod = PadicNumber.zero_to(5, 3) * PadicNumber.unit_form(5, 2, 1, 4)
+        prod = PadicNumber.zero_to(5, 3) * PadicNumber(5, 2, 1, 4)
         assert prod.is_unknown_zero() and prod.val == 5
 
     def test_int_scaling_is_exact(self):
-        x = PadicNumber.unit_form(5, 0, 2, 3)
+        x = PadicNumber(5, 0, 2, 3)
         assert (x.scale_int(25).val, x.scale_int(25).prec) == (2, 3)
         assert x.scale_int(0).is_exact_zero()
         assert (3 * x).agrees_with(x + x + x)
@@ -148,10 +148,10 @@ class TestMultiplication:
 class TestAgreement:
     def test_agreement_is_precision_aware(self):
         # 2 and 2 + 5^3 agree when only 3 digits are tracked
-        a = PadicNumber.unit_form(5, 0, 2, 3)
-        b = PadicNumber.unit_form(5, 0, 2 + 125, 4)
+        a = PadicNumber(5, 0, 2, 3)
+        b = PadicNumber(5, 0, 2 + 125, 4)
         assert a.agrees_with(b)
-        c = PadicNumber.unit_form(5, 0, 2 + 25, 4)
+        c = PadicNumber(5, 0, 2 + 25, 4)
         assert not a.agrees_with(c)
 
     def test_unknown_zero_agrees_with_exact_zero(self):
@@ -173,7 +173,7 @@ def padic_numbers(draw, p=5):
     val = draw(st.integers(-4, 6))
     unit = draw(st.integers(1, 5**6 - 1).filter(lambda u: u % p != 0))
     prec = draw(st.integers(1, 6))
-    return PadicNumber.unit_form(p, val, unit, prec)
+    return PadicNumber(p, val, unit, prec)
 
 
 class TestAlgebraicLaws:

@@ -118,7 +118,7 @@ class TestSeriesArithmetic:
         assert back.coeff(2).agrees_with(f.coeff(2))
 
     def test_antiderivative_spends_absolute_precision(self):
-        f = PadicSeries(5, tuple(PadicNumber.unit_form(5, 0, 1, 4) for _ in range(5)))
+        f = PadicSeries(5, tuple(PadicNumber(5, 0, 1, 4) for _ in range(5)))
         anti = f.antiderivative()
         # degree-4 coefficient divides by 5: valuation drops, abs prec drops
         assert anti.coeff(5).val == -1
@@ -169,8 +169,34 @@ class TestNewtonPolygon:
 
     def test_bound_restricts_scope(self):
         # with d* = 1 the z^2 coefficient is outside the zero-governing range
-        f = PadicSeries.from_int_coeffs(5, [0, -1, 1], weierstrass_bound=1)
+        f = PadicSeries.from_int_coeffs(5, [0, -1, 5], weierstrass_bound=1)
         assert newton_polygon(f).vertices == ((1, 0),)
+
+    @pytest.mark.parametrize(
+        "coeffs, bound, refuted",
+        [
+            ([1, 0, 0, 1], 0, True),      # 1 + z^3: a unit beyond d* = 0
+            ([1, 0, 0, 1], 3, False),
+            ([5, 0, 1], 1, True),         # v(c_2) = 0 < v(c_0) = 1
+            ([5, 0, 5], 1, True),         # ties refute too
+            ([5, 0, 25], 1, False),
+            ([0, 0, 25], 1, True),        # exact zeros have no floor
+        ],
+    )
+    def test_bound_refuted_by_visible_coefficients(self, coeffs, bound, refuted):
+        if refuted:
+            with pytest.raises(DomainError, match="refuted"):
+                S(coeffs, wb=bound)
+        else:
+            assert S(coeffs, wb=bound).weierstrass_bound == bound
+
+    def test_unknown_tail_and_unknown_floor(self):
+        unit, unknown = PadicNumber.from_int(5, 1), PadicNumber.zero_to(5, 0)
+        # O(p^k) beyond d* never refutes
+        assert PadicSeries(5, (unit, unknown), 0).weierstrass_bound == 0
+        # an O(p^k) at or below d* counts with its floor k
+        with pytest.raises(DomainError, match="refuted"):
+            PadicSeries(5, (unknown, PadicNumber.from_int(5, 5), unit), 1)
 
     def test_unknown_zero_below_hull_is_an_error(self):
         coeffs = (

@@ -12,16 +12,13 @@ from nadescent import (
     GradedDims,
     ParityError,
     ParityMode,
-    Place,
-    bound_table,
-    derham_lb_table,
     graded_dims,
     h1_step_bound,
     halting_level,
     local_h2_bound,
     minus_dim_bound,
-    selmer_ub_table,
 )
+from nadescent.selmer_bounds import _bound_rows
 
 from .oracles import oracle_halting_level
 
@@ -61,20 +58,20 @@ class TestMinusDimBound:
 
 class TestLocalH2Bound:
     def test_examples(self):
-        assert local_h2_bound(2, 2, Place.BAD_PRIME) == 12
-        assert local_h2_bound(2, 2, Place.GOOD_P) == 8
-        assert local_h2_bound(2, 1, Place.BAD_PRIME) == 2
+        assert local_h2_bound(2, 2, bad_prime=True) == 12
+        assert local_h2_bound(2, 2, bad_prime=False) == 8
+        assert local_h2_bound(2, 1, bad_prime=True) == 2
 
     def test_degree_one_has_no_second_summand(self):
         for g in (2, 3, 4):
-            assert local_h2_bound(g, 1, Place.BAD_PRIME) == g
-            assert local_h2_bound(g, 1, Place.GOOD_P) == g
+            assert local_h2_bound(g, 1, bad_prime=True) == g
+            assert local_h2_bound(g, 1, bad_prime=False) == g
 
     def test_formula_agreement(self):
         for g in (2, 3):
             for n in range(1, 12):
-                bad = local_h2_bound(g, n, Place.BAD_PRIME)
-                good = local_h2_bound(g, n, Place.GOOD_P)
+                bad = local_h2_bound(g, n, bad_prime=True)
+                good = local_h2_bound(g, n, bad_prime=False)
                 assert good == n * g**n
                 assert bad == n * g**n + (
                     n * (n - 1) // 2 * (2 * g - 2) ** 2 * g ** (n - 2)
@@ -84,9 +81,9 @@ class TestLocalH2Bound:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            local_h2_bound(2, 0, Place.GOOD_P)
+            local_h2_bound(2, 0, bad_prime=False)
         with pytest.raises(DomainError):
-            local_h2_bound(1, 2, Place.GOOD_P)
+            local_h2_bound(1, 2, bad_prime=False)
 
 
 class TestH1StepBound:
@@ -101,7 +98,7 @@ class TestH1StepBound:
     def test_additive_in_bad_places(self):
         for n in (2, 3, 4):
             base = h1_step_bound(G2, n, 0, ParityMode.FAITHFUL)
-            bad = local_h2_bound(2, n, Place.BAD_PRIME)
+            bad = local_h2_bound(2, n, bad_prime=True)
             for s in range(1, 4):
                 assert (
                     h1_step_bound(G2, n, s, ParityMode.FAITHFUL)
@@ -115,24 +112,36 @@ class TestH1StepBound:
             h1_step_bound(G2, 2, -1, ParityMode.FAITHFUL)
 
 
+def ub_column(curve, dims, n_cap):
+    """[UB(2), ..., UB(n_cap)], past any halting level."""
+    rows = _bound_rows(curve, dims, n_cap, ParityMode.FAITHFUL)
+    return [row.selmer_ub for row in rows]
+
+
+def lb_column(dims, n_cap):
+    """[LB(2), ..., LB(n_cap)]; the lower bound ignores rank and |S|."""
+    rows = _bound_rows(params(g=dims.g), dims, n_cap, ParityMode.FAITHFUL)
+    return [row.derham_lb for row in rows]
+
+
 class TestTables:
     def test_ub_base_and_steps(self):
-        ub0 = selmer_ub_table(params(rank=0), G2, 3, ParityMode.FAITHFUL)
+        ub0 = ub_column(params(rank=0), G2, 3)
         assert ub0[0] == 0 and ub0[1] == 25
-        ub5 = selmer_ub_table(params(rank=5), G2, 3, ParityMode.FAITHFUL)
+        ub5 = ub_column(params(rank=5), G2, 3)
         assert ub5[0] == 5 and ub5[1] == 30
 
     def test_lb_prefix(self):
-        lb = derham_lb_table(G2, 4)
+        lb = lb_column(G2, 4)
         assert lb[:3] == [2, 3, 11]
 
     def test_lb_is_clamped_nondecreasing(self):
         for g in (2, 3, 4):
-            lb = derham_lb_table(graded_dims(g, 20), 20)
+            lb = lb_column(graded_dims(g, 20), 20)
             assert all(b >= a for a, b in zip(lb, lb[1:]))
 
     def test_bound_table_shape_and_monotonicity(self):
-        table = bound_table(params(rank=3), n_cap=12)
+        table = halting_level(params(rank=3), n_cap=12)
         ns = [row.n for row in table.rows]
         assert ns == list(range(2, 13))
         ubs = [row.selmer_ub for row in table.rows]
@@ -141,18 +150,16 @@ class TestTables:
         assert all(b >= a for a, b in zip(lbs, lbs[1:]))
 
     def test_mode_coherence_bound(self):
-        pf = bound_table(params(rank=3), n_cap=16, mode=ParityMode.FAITHFUL)
-        pv = bound_table(
-            params(rank=3), n_cap=16, mode=ParityMode.PAPER_VERBATIM
-        )
+        pf = list(_bound_rows(params(rank=3), G2, 16, ParityMode.FAITHFUL))
+        pv = list(_bound_rows(params(rank=3), G2, 16, ParityMode.PAPER_VERBATIM))
         budget = Fraction(0)
-        for rf, rv in zip(pf.rows, pv.rows):
+        for rf, rv in zip(pf, pv):
             assert rf.derham_lb == rv.derham_lb
             assert abs(rf.selmer_ub - rv.selmer_ub) <= budget
             budget += Fraction(G2.r(rf.n), 2) + 1
 
     def test_json_dict_round_shape(self):
-        doc = bound_table(params(rank=0), n_cap=4).to_json_dict()
+        doc = halting_level(params(rank=0), n_cap=4).to_json_dict()
         assert doc["mode"] == "faithful"
         assert doc["rows"][0] == {"n": 2, "selmer_ub": 0, "derham_lb": 2}
 

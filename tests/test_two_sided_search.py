@@ -19,26 +19,26 @@ from .oracles import tabulate_first_meeting
 
 
 def tables(lower, upper):
-    return TableEnumerator.from_levels(lower), TableEnumerator.from_levels(upper)
+    return TableEnumerator(lower), TableEnumerator(upper)
 
 
 class TestTableEnumerator:
     def test_levels_are_frozen_sets(self):
-        t = TableEnumerator.from_levels([[1, 2], [1, 2, 3]])
+        t = TableEnumerator([[1, 2], [1, 2, 3]])
         assert t.next_level(0) == frozenset({1, 2})
         assert t.next_level(1) == frozenset({1, 2, 3})
 
     def test_saturates_at_last_level(self):
-        t = TableEnumerator.from_levels([[1], [1, 2]])
+        t = TableEnumerator([[1], [1, 2]])
         assert t.next_level(99) == frozenset({1, 2})
 
     def test_rejects_empty_table(self):
         with pytest.raises(DomainError):
-            TableEnumerator.from_levels([])
+            TableEnumerator([])
 
     @pytest.mark.parametrize("level", [-1, "0", 1.5])
     def test_rejects_bad_level(self, level):
-        t = TableEnumerator.from_levels([[1]])
+        t = TableEnumerator([[1]])
         with pytest.raises(DomainError):
             t.next_level(level)
 
@@ -166,8 +166,8 @@ class TestScheduleAgainstOracle:
             n_cap = rng.randint(0, 12)
             m_cap = rng.randint(0, 12)
             out = run_descent(
-                TableEnumerator.from_levels(lower_levels),
-                TableEnumerator.from_levels(upper_levels),
+                TableEnumerator(lower_levels),
+                TableEnumerator(upper_levels),
                 n_cap=n_cap,
                 m_cap=m_cap,
             )
@@ -188,8 +188,8 @@ class TestScheduleAgainstOracle:
         for _ in range(30):
             lower_levels, upper_levels = self.random_fixture(rng)
             out = run_descent(
-                TableEnumerator.from_levels(lower_levels),
-                TableEnumerator.from_levels(upper_levels),
+                TableEnumerator(lower_levels),
+                TableEnumerator(upper_levels),
             )
             assert out.converged  # saturating tables always meet uncapped
             assert out.points == set(lower_levels[-1]) == set(upper_levels[-1])
