@@ -5,41 +5,19 @@ graded Lie-algebra dimension tables, Selmer/de-Rham bound tables with their
 halting level, iterated-integral observables, Newton-polygon zero isolation
 with a separation modulus, local annihilators with prime-set enlargement,
 and a two-sided search driver that runs until its two enumerations agree.
+
+The root namespace holds what the demos use and the error families the
+command line maps onto exit codes; everything else is imported from its
+submodule.
 """
 
-from .arith import (
-    DEFAULT_FACTOR_BUDGET,
-    divisors,
-    factorize,
-    is_prime,
-    mobius,
-    prime_factors,
-    v_p,
-)
-from .descent_arith import (
-    JacobianLocalData,
-    WeilBoundWarning,
-    count_from_frobenius_poly,
-    enlarged_prime_set,
-    jacobian_order_mod,
-)
+from .descent_arith import JacobianLocalData, enlarged_prime_set, jacobian_order_mod
 from .errors import (
-    AllZeroPolygonError,
-    ContainmentViolatedError,
-    DigitLimitError,
     DomainError,
     FactorizationTimeoutError,
-    HullPrecisionError,
     InvariantError,
-    IrregularFormError,
     IsolationError,
-    MonotonicityError,
-    MultipleRootSuspectedError,
-    NadescentError,
-    ParityError,
     PrecisionError,
-    PrecisionExhaustedError,
-    PrimeMismatchError,
 )
 from .iterated_words import (
     FormSystem,
@@ -49,112 +27,44 @@ from .iterated_words import (
     observable_product,
     shuffle,
 )
-from .lie_dims import (
-    DEFAULT_LEVEL_CAP,
-    GradedDims,
-    cumulative_dim,
-    graded_dims,
-    lucas_sequence,
-)
+from .lie_dims import cumulative_dim, graded_dims
 from .padic_series import (
-    DEFAULT_PRECISION,
-    Chart,
-    DiskSeries,
-    IsolationFailure,
-    NewtonPolygon,
     PadicNumber,
     PadicSeries,
-    SeparationReport,
-    SeparationStatus,
-    ZeroDisk,
     isolate_zeros,
-    newton_polygon,
     root_count_positive_valuation,
     separation_modulus,
 )
-from .selmer_bounds import (
-    BoundRow,
-    BoundTable,
-    CurveParams,
-    ParityMode,
-    h1_step_bound,
-    halting_level,
-    local_h2_bound,
-    minus_dim_bound,
-)
-from .two_sided_search import (
-    DescentOutcome,
-    LevelEnumerator,
-    TableEnumerator,
-    run_descent,
-)
+from .selmer_bounds import CurveParams, ParityMode, halting_level
+from .two_sided_search import TableEnumerator, run_descent
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllZeroPolygonError",
-    "BoundRow",
-    "BoundTable",
-    "Chart",
-    "ContainmentViolatedError",
     "CurveParams",
-    "DEFAULT_FACTOR_BUDGET",
-    "DEFAULT_LEVEL_CAP",
-    "DEFAULT_PRECISION",
-    "DescentOutcome",
-    "DigitLimitError",
-    "DiskSeries",
     "DomainError",
     "FactorizationTimeoutError",
     "FormSystem",
-    "GradedDims",
-    "HullPrecisionError",
     "InvariantError",
-    "IrregularFormError",
     "IsolationError",
-    "IsolationFailure",
     "JacobianLocalData",
-    "LevelEnumerator",
-    "MonotonicityError",
-    "MultipleRootSuspectedError",
-    "NadescentError",
-    "NewtonPolygon",
     "Observable",
     "PadicNumber",
     "PadicSeries",
-    "ParityError",
     "ParityMode",
     "PrecisionError",
-    "PrecisionExhaustedError",
-    "PrimeMismatchError",
-    "SeparationReport",
-    "SeparationStatus",
     "TableEnumerator",
-    "WeilBoundWarning",
-    "ZeroDisk",
-    "count_from_frobenius_poly",
     "cumulative_dim",
-    "divisors",
     "enlarged_prime_set",
     "evaluate_observable",
-    "factorize",
     "graded_dims",
-    "h1_step_bound",
     "halting_level",
-    "is_prime",
     "isolate_zeros",
     "iterated_integral",
     "jacobian_order_mod",
-    "local_h2_bound",
-    "lucas_sequence",
-    "minus_dim_bound",
-    "mobius",
-    "newton_polygon",
     "observable_product",
-    "prime_factors",
     "root_count_positive_valuation",
     "run_descent",
     "separation_modulus",
     "shuffle",
-    "v_p",
 ]

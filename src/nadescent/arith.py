@@ -1,9 +1,9 @@
 """Small exact number-theory helpers shared across the package.
 
-Everything is plain arbitrary-precision integer arithmetic: deterministic
-Miller-Rabin primality, trial-division / Brent-rho factorization with an
-explicit work budget, Moebius values (cached), divisor lists and p-adic
-valuations of integers.
+Everything is plain arbitrary-precision integer arithmetic: primality
+(deterministic Miller-Rabin below psi_12, Baillie-PSW above), trial-division
+/ Brent-rho factorization with an explicit work budget, Moebius values
+(cached), divisor lists and p-adic valuations of integers.
 """
 
 from __future__ import annotations
@@ -13,9 +13,11 @@ from functools import lru_cache
 
 from .errors import DomainError, FactorizationTimeoutError
 
-# Deterministic witness set for n < 3.3 * 10^24 (far beyond anything the
-# package touches at desk scale).
+# Strong probable-prime tests to these bases decide primality for every
+# n < psi_12 = 318665857834031151167461 (Sorenson & Webster, Math. Comp. 86,
+# 2017); psi_12 itself is a strong pseudoprime to all twelve.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_12 = 318665857834031151167461
 
 #: Total Brent-rho work allowed per factorization call before giving up.
 DEFAULT_FACTOR_BUDGET = 2_000_000
@@ -24,17 +26,27 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic below psi_12; Baillie-PSW (a strong base-2 test and a
+    strong Lucas test, Baillie & Wagstaff, Math. Comp. 35, 1980) at and
+    above it, which no known composite passes."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
+    if n < _PSI_12:
+        return _strong_probable_prime(n, _MR_BASES)
+    return _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, bases) -> bool:
+    """Miller-Rabin to each base, for odd n above all of them."""
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -45,6 +57,55 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, for odd n free of
+    small factors: D is the first of 5, -7, 9, -11, ... with (D/n) = -1,
+    P = 1, Q = (1 - D)/4; with n + 1 = d 2^s, n passes when U_d = 0 or
+    V_(d 2^r) = 0 (mod n) for some 0 <= r < s."""
+    if math.isqrt(n) ** 2 == n:  # no D with (D/n) = -1 exists
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # n shares a factor with D and exceeds it
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1, Q^1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n  # index k -> 2k
+        if bit == "1":  # 2k -> 2k + 1, halving mod the odd n
+            U, V = U + V, D * U + V
+            U, V = (U + n * (U % 2)) // 2 % n, (V + n * (V % 2)) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0:
+        return True
+    for _ in range(s):
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
 
 
 def v_p(n: int, p: int) -> int:

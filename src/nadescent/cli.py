@@ -11,6 +11,9 @@ Subcommands mirror the pipeline stages:
 * ``descent-sim`` -- run the two-sided search on a tabulated fixture
 * ``report``      -- full pipeline: halting level, separation, N, T_0
 
+Each one is a single entry of ``COMMANDS``: its help, its flags, a handler
+returning ``(exit code, document)`` and its csv and plain renderers.
+
 Exit codes: 0 success; 2 invalid input (domain errors, bad usage); 3 a
 configured bound or budget was exhausted before a decision (no halting
 level within the cap, search caps hit, factoring budget spent, an output
@@ -24,7 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .arith import DEFAULT_FACTOR_BUDGET
 from .descent_arith import (
@@ -66,6 +69,8 @@ EXIT_DOMAIN = 2
 EXIT_BOUND_EXHAUSTED = 3
 EXIT_SEPARATION_FAILURE = 4
 EXIT_INTERNAL = 5
+
+Doc = Dict[str, Any]
 
 
 # ---------------------------------------------------------------------------
@@ -113,103 +118,22 @@ def _curve_params(args, rank: int) -> CurveParams:
     )
 
 
-# ---------------------------------------------------------------------------
-# Rendering
-# ---------------------------------------------------------------------------
-
-
-def _render_csv(kind: str, doc: Dict[str, Any]) -> str:
-    if kind == "dims":
-        lines = ["n,lucas,r_n,dim_u"]
-        lines += [
-            f"{r['n']},{r['lucas']},{r['r']},{r['dim_u']}" for r in doc["rows"]
-        ]
-    elif kind == "bounds":
-        lines = ["n,selmer_ub,derham_lb"]
-        lines += [
-            f"{r['n']},{r['selmer_ub']},{r['derham_lb']}" for r in doc["rows"]
-        ]
-    else:
-        lines = ["mw_rank,mode,halting_level"]
-        for r in doc["results"]:
-            level = "" if r["halting_level"] is None else r["halting_level"]
-            lines.append(f"{r['mw_rank']},{r['mode']},{level}")
-    return "\n".join(lines) + "\n"
-
-
-def _render_plain(kind: str, doc: Dict[str, Any]) -> str:
-    if kind == "dims":
-        lines = [
-            f"g = {doc['g']}",
-            f"{'n':>4} {'L_n':>18} {'r_n':>18} {'dim U_n':>18}",
-        ]
-        lines += [
-            f"{r['n']:>4} {r['lucas']:>18} {r['r']:>18} {r['dim_u']:>18}"
-            for r in doc["rows"]
-        ]
-        return "\n".join(lines) + "\n"
-    if kind == "bounds":
-        lines = [
-            f"g = {doc['g']}  |S| = {doc['bad_prime_count']}  p = {doc['p']}  "
-            f"rank = {doc['mw_rank']}  mode = {doc['mode']}",
-            f"{'n':>4} {'selmer_ub':>14} {'derham_lb':>14}",
-        ]
-        lines += [
-            f"{r['n']:>4} {r['selmer_ub']:>14} {r['derham_lb']:>14}"
-            for r in doc["rows"]
-        ]
-        level = doc["halting_level"]
-        lines.append(
-            f"halting level: {level}" if level is not None else "no halting level"
-        )
-        return "\n".join(lines) + "\n"
-    if kind == "halt":
-        lines = []
-        for r in doc["results"]:
-            level = r["halting_level"]
-            suffix = f"t = {level}" if level is not None else "not reached"
-            lines.append(f"rank {r['mw_rank']} ({r['mode']}): {suffix}")
-        return "\n".join(lines) + "\n"
-    if kind == "order":
-        lines = [f"N = {doc['annihilator']}"]
-        if "enlarged_primes" in doc:
-            lines.append(
-                "T0 = {" + ", ".join(doc["enlarged_primes"]) + "}"
-            )
-        lines += [f"warning: {w}" for w in doc["warnings"]]
-        return "\n".join(lines) + "\n"
-    # everything else: the canonical document is already the best rendering
-    return canonical_dumps(doc)
-
-
-def _emit(args, kind: str, doc: Dict[str, Any]) -> None:
-    style = getattr(args, "output", "json")
-    if style == "json":
-        text = canonical_dumps(doc)
-    elif style == "csv" and kind not in ("dims", "bounds", "halt"):
-        raise DomainError(
-            "csv output is only available for the tabular commands "
-            "(dims, bounds, halt)"
-        )
-    else:
-        # the renderers format the canonical decimal strings, so every
-        # integer reaches text through canonicalize
-        render = _render_csv if style == "csv" else _render_plain
-        text = render(kind, canonicalize(doc))
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _annihilator(p: int, g: int, count_fp: int, m: int) -> Tuple[int, List[str]]:
+    """N at level p^M, with the Weil-interval warnings its input raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        n_value = jacobian_order_mod(JacobianLocalData(p=p, g=g, count_fp=count_fp), m)
+    return n_value, [
+        str(w.message) for w in caught if issubclass(w.category, WeilBoundWarning)
+    ]
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers (return an exit code)
+# Subcommand handlers (return the exit code and the document to print)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_dims(args) -> int:
+def _cmd_dims(args) -> Tuple[int, Doc]:
     if args.n_max < 0:
         raise DomainError(f"--n: expected a degree >= 0, got {args.n_max}")
     rows = []
@@ -222,27 +146,19 @@ def _cmd_dims(args) -> int:
             rows.append(
                 {"n": n, "lucas": dims.lucas_value(n), "r": dims.r(n), "dim_u": dim_u}
             )
-    _emit(args, "dims", {"g": args.genus, "rows": rows})
-    return EXIT_OK
+    return EXIT_OK, {"g": args.genus, "rows": rows}
 
 
-def _cmd_bounds(args) -> int:
-    params = _curve_params(args, _single_rank(args.rank))
-    table = halting_level(
-        params, n_cap=args.n_cap, mode=ParityMode.parse(args.mode)
-    )
-    _emit(args, "bounds", table.to_json_dict())
-    return EXIT_OK
-
-
-def _single_rank(text: str) -> int:
-    ranks = _parse_rank_spec(text)
+def _cmd_bounds(args) -> Tuple[int, Doc]:
+    ranks = _parse_rank_spec(args.rank)
     if len(ranks) != 1:
         raise DomainError("--rank: this command takes a single rank, not a sweep")
-    return ranks[0]
+    params = _curve_params(args, ranks[0])
+    table = halting_level(params, n_cap=args.n_cap, mode=ParityMode.parse(args.mode))
+    return EXIT_OK, table.to_json_dict()
 
 
-def _cmd_halt(args) -> int:
+def _cmd_halt(args) -> Tuple[int, Doc]:
     ranks = _parse_rank_spec(args.rank)
     modes = (
         [ParityMode.FAITHFUL, ParityMode.PAPER_VERBATIM]
@@ -272,21 +188,20 @@ def _cmd_halt(args) -> int:
         "n_cap": args.n_cap,
         "results": results,
     }
-    _emit(args, "halt", doc)
-    return EXIT_BOUND_EXHAUSTED if missed else EXIT_OK
+    return (EXIT_BOUND_EXHAUSTED if missed else EXIT_OK), doc
 
 
-def _cmd_separate(args) -> int:
+def _cmd_separate(args) -> Tuple[int, Doc]:
     doc_in = load_json_file(args.input)
     charts, _p = charts_from_json(doc_in)
     report = separation_modulus(charts, depth_cap=args.depth_cap, jobs=args.jobs)
-    _emit(args, "separate", separation_report_to_json(report))
+    doc = separation_report_to_json(report)
     if report.status is not SeparationStatus.SEPARATED:
-        return EXIT_SEPARATION_FAILURE
-    return EXIT_OK
+        return EXIT_SEPARATION_FAILURE, doc
+    return EXIT_OK, doc
 
 
-def _cmd_integrate(args) -> int:
+def _cmd_integrate(args) -> Tuple[int, Doc]:
     doc_in = load_json_file(args.input)
     forms, p, prec = forms_from_json(doc_in)
     system = FormSystem(tuple(forms))
@@ -304,11 +219,10 @@ def _cmd_integrate(args) -> int:
             series = series.with_weierstrass_bound(bound)
         except DomainError as exc:
             raise DomainError(f"$.weierstrass_bound: {exc}") from exc
-    _emit(args, "integrate", {"series": series_to_json(series)})
-    return EXIT_OK
+    return EXIT_OK, {"series": series_to_json(series)}
 
 
-def _cmd_order(args) -> int:
+def _cmd_order(args) -> Tuple[int, Doc]:
     if (args.count_fp is None) == (args.l_poly is None):
         raise DomainError("exactly one of --count-fp or --l-poly is required")
     if args.count_fp is not None:
@@ -317,32 +231,24 @@ def _cmd_order(args) -> int:
         count_fp = count_from_frobenius_poly(
             [parse_int(s, "--l-poly") for s in args.l_poly.split(",") if s.strip()]
         )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        data = JacobianLocalData(p=args.p, g=args.genus, count_fp=count_fp)
-        n_value = jacobian_order_mod(data, args.modulus_exponent)
-    doc: Dict[str, Any] = {
+    n_value, warned = _annihilator(args.p, args.genus, count_fp, args.modulus_exponent)
+    doc: Doc = {
         "p": args.p,
         "g": args.genus,
         "count_fp": count_fp,
         "modulus_exponent": args.modulus_exponent,
         "annihilator": n_value,
-        "warnings": [
-            str(w.message)
-            for w in caught
-            if issubclass(w.category, WeilBoundWarning)
-        ],
+        "warnings": warned,
     }
     if args.enlarge is not None:
         s_primes = _parse_prime_list(args.enlarge, "--enlarge")
         doc["enlarged_primes"] = sorted(
             enlarged_prime_set(s_primes, n_value, budget=args.factor_budget)
         )
-    _emit(args, "order", doc)
-    return EXIT_OK
+    return EXIT_OK, doc
 
 
-def _cmd_descent_sim(args) -> int:
+def _cmd_descent_sim(args) -> Tuple[int, Doc]:
     doc_in = load_json_file(args.input)
     lower_levels, upper_levels = descent_fixture_from_json(doc_in)
     outcome = run_descent(
@@ -361,11 +267,10 @@ def _cmd_descent_sim(args) -> int:
         "n_cap": outcome.n_cap,
         "m_cap": outcome.m_cap,
     }
-    _emit(args, "descent-sim", doc)
-    return EXIT_OK if outcome.converged else EXIT_BOUND_EXHAUSTED
+    return (EXIT_OK if outcome.converged else EXIT_BOUND_EXHAUSTED), doc
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> Tuple[int, Doc]:
     config = load_json_file(args.config)
     curve = config.get("curve")
     if not isinstance(curve, dict):
@@ -386,7 +291,7 @@ def _cmd_report(args) -> int:
         g=genus, bad_prime_count=len(bad), p=p, mw_rank=rank, bad_primes=bad
     )
 
-    doc: Dict[str, Any] = {
+    doc: Doc = {
         "curve": {
             "genus": genus,
             "p": p,
@@ -403,8 +308,7 @@ def _cmd_report(args) -> int:
     if table.halting_level is None:
         doc["status"] = "no-halting-level"
         doc["failed_stage"] = "halting"
-        _emit(args, "report", doc)
-        return EXIT_BOUND_EXHAUSTED
+        return EXIT_BOUND_EXHAUSTED, doc
 
     if "charts" not in config:
         raise DomainError("$.charts: missing required field")
@@ -416,8 +320,7 @@ def _cmd_report(args) -> int:
     if report.status is not SeparationStatus.SEPARATED:
         doc["status"] = "separation-failed"
         doc["failed_stage"] = "separation"
-        _emit(args, "report", doc)
-        return EXIT_SEPARATION_FAILURE
+        return EXIT_SEPARATION_FAILURE, doc
 
     jac = config.get("jacobian")
     if not isinstance(jac, dict):
@@ -425,66 +328,212 @@ def _cmd_report(args) -> int:
     count_fp = parse_int(require(jac, "count_fp", "$.jacobian"), "$.jacobian.count_fp")
     jac_g = parse_int(jac.get("g", genus), "$.jacobian.g")
     doc["inputs"]["jacobian"] = {"g": jac_g, "count_fp": count_fp}
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        data = JacobianLocalData(p=p, g=jac_g, count_fp=count_fp)
-        n_value = jacobian_order_mod(data, report.modulus)
+    n_value, doc["warnings"] = _annihilator(p, jac_g, count_fp, report.modulus)
     t0 = enlarged_prime_set(bad, n_value, budget=args.factor_budget)
 
     doc["modulus_exponent"] = report.modulus
     doc["annihilator"] = n_value
     doc["enlarged_primes"] = sorted(t0)
-    doc["warnings"] = [
-        str(w.message) for w in caught if issubclass(w.category, WeilBoundWarning)
-    ]
     doc["status"] = "complete"
-    _emit(args, "report", doc)
-    return EXIT_OK
+    return EXIT_OK, doc
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Renderers: a canonicalized document to the lines of its text
+# ---------------------------------------------------------------------------
+
+Renderer = Callable[[Doc], List[str]]
+
+
+def _csv(key: str, *columns: str, header: Optional[str] = None) -> Renderer:
+    """A header line (by default the column names), then one line per row of
+    ``doc[key]``, a missing value left empty."""
+    return lambda doc: [header or ",".join(columns)] + [
+        ",".join("" if r[c] is None else r[c] for c in columns) for r in doc[key]
+    ]
+
+
+def _dims_plain(doc: Doc) -> List[str]:
+    return [
+        f"g = {doc['g']}",
+        f"{'n':>4} {'L_n':>18} {'r_n':>18} {'dim U_n':>18}",
+    ] + [
+        f"{r['n']:>4} {r['lucas']:>18} {r['r']:>18} {r['dim_u']:>18}"
+        for r in doc["rows"]
+    ]
+
+
+def _bounds_plain(doc: Doc) -> List[str]:
+    level = doc["halting_level"]
+    return (
+        [
+            f"g = {doc['g']}  |S| = {doc['bad_prime_count']}  p = {doc['p']}  "
+            f"rank = {doc['mw_rank']}  mode = {doc['mode']}",
+            f"{'n':>4} {'selmer_ub':>14} {'derham_lb':>14}",
+        ]
+        + [
+            f"{r['n']:>4} {r['selmer_ub']:>14} {r['derham_lb']:>14}"
+            for r in doc["rows"]
+        ]
+        + [f"halting level: {level}" if level is not None else "no halting level"]
+    )
+
+
+def _halt_plain(doc: Doc) -> List[str]:
+    return [
+        f"rank {r['mw_rank']} ({r['mode']}): "
+        + ("not reached" if r["halting_level"] is None else f"t = {r['halting_level']}")
+        for r in doc["results"]
+    ]
+
+
+def _order_plain(doc: Doc) -> List[str]:
+    lines = [f"N = {doc['annihilator']}"]
+    if "enlarged_primes" in doc:
+        lines.append("T0 = {" + ", ".join(doc["enlarged_primes"]) + "}")
+    return lines + [f"warning: {w}" for w in doc["warnings"]]
+
+
+# ---------------------------------------------------------------------------
+# The command table
 # ---------------------------------------------------------------------------
 
 
-def _add_output_flags(sub) -> None:
-    sub.add_argument(
+class Flag(NamedTuple):
+    names: Tuple[str, ...]
+    integer: bool  # read with parse_int, errors named by the first spelling
+    options: Dict[str, Any]  # passed on to add_argument, "dest" always set
+
+
+def _flag(*names: str, integer: bool = False, **options: Any) -> Flag:
+    options.setdefault("dest", names[0].lstrip("-").replace("-", "_"))
+    return Flag(names, integer, options)
+
+
+def _int(*names: str, **options: Any) -> Flag:
+    return _flag(*names, integer=True, **options)
+
+
+class Command(NamedTuple):
+    help: str
+    flags: Tuple[Flag, ...]
+    handler: Callable[[argparse.Namespace], Tuple[int, Doc]]
+    csv: Optional[Renderer] = None  # None: csv output is refused
+    plain: Optional[Renderer] = None  # None: plain output is the canonical json
+
+
+def _genus(help: str) -> Flag:
+    return _int("--genus", "--g", required=True, help=help)
+
+
+_P = _int("--p", required=True, help="good working prime")
+_INPUT = _flag("--input", required=True, metavar="FILE")
+_JOBS = _int("--jobs", default=1, help="worker threads")
+_FACTOR_BUDGET = _int("--factor-budget", default=DEFAULT_FACTOR_BUDGET)
+_OUTPUT_FLAGS = (  # every command takes these
+    _flag(
         "--output",
         choices=("json", "csv", "plain"),
         default="json",
         help="output style (default: canonical json)",
-    )
-    sub.add_argument("--out", metavar="FILE", help="write output to FILE")
+    ),
+    _flag("--out", metavar="FILE", help="write output to FILE"),
+)
 
 
-def _add_curve_flags(sub, allow_both_modes: bool = False) -> None:
-    sub.add_argument(
-        "--genus", "--g", dest="genus", type=int, required=True,
-        help="curve genus (>= 2)",
+def _curve_flags(*extra_modes: str) -> Tuple[Flag, ...]:
+    return (
+        _genus("curve genus (>= 2)"),
+        _P,
+        _flag("--rank", required=True, help="Mordell-Weil rank, or a sweep like 0..5"),
+        _flag(
+            "--bad-primes", help="comma-separated primes of bad reduction (e.g. 11,13)"
+        ),
+        _int("--bad-count", help="size of the bad set, if primes are not listed"),
+        _int("--n-cap", default=64, help="largest level to examine (default 64)"),
+        _flag(
+            "--mode",
+            choices=("faithful", "verbatim") + extra_modes,
+            default="faithful",
+            help="parity convention for the minus-part halving (default faithful)",
+        ),
     )
-    sub.add_argument("--p", type=int, required=True, help="good working prime")
-    sub.add_argument(
-        "--rank", required=True, help="Mordell-Weil rank, or a sweep like 0..5"
-    )
-    sub.add_argument(
-        "--bad-primes",
-        help="comma-separated primes of bad reduction (e.g. 11,13)",
-    )
-    sub.add_argument(
-        "--bad-count", type=int, help="size of the bad set, if primes are not listed"
-    )
-    sub.add_argument(
-        "--n-cap", type=int, default=64, help="largest level to examine (default 64)"
-    )
-    modes = ("faithful", "verbatim", "both") if allow_both_modes else (
-        "faithful", "verbatim"
-    )
-    sub.add_argument(
-        "--mode",
-        choices=modes,
-        default="faithful",
-        help="parity convention for the minus-part halving (default faithful)",
-    )
+
+
+COMMANDS: Dict[str, Command] = {
+    "dims": Command(
+        "graded Lie dimensions L_n, r_n, dim U_n",
+        (
+            _genus("curve genus (>= 2)"),
+            _int(
+                "--n-max", "--n", required=True,
+                help="largest degree to list (0 for a header-only table)",
+            ),
+            _int(
+                "--cap", default=DEFAULT_LEVEL_CAP,
+                help="refuse degrees beyond this cap (default %(default)s)",
+            ),
+        ),
+        _cmd_dims,
+        csv=_csv("rows", "n", "lucas", "r", "dim_u", header="n,lucas,r_n,dim_u"),
+        plain=_dims_plain,
+    ),
+    "bounds": Command(
+        "upper/lower bound table for one curve",
+        _curve_flags(),
+        _cmd_bounds,
+        csv=_csv("rows", "n", "selmer_ub", "derham_lb"),
+        plain=_bounds_plain,
+    ),
+    "halt": Command(
+        "halting level, optionally swept over ranks",
+        _curve_flags("both"),
+        _cmd_halt,
+        csv=_csv("results", "mw_rank", "mode", "halting_level"),
+        plain=_halt_plain,
+    ),
+    "separate": Command(
+        "isolate zeros across charts (JSON input)",
+        (_INPUT, _int("--depth-cap", default=12), _JOBS),
+        _cmd_separate,
+    ),
+    "integrate": Command(
+        "evaluate a word observable as a series (JSON input)",
+        (_INPUT, _int("--trunc", help="override the truncation degree")),
+        _cmd_integrate,
+    ),
+    "order": Command(
+        "local group order / annihilator N",
+        (
+            _P,
+            _genus("dimension of the local Jacobian (>= 1)"),
+            _int("--count-fp", help="group order over F_p"),
+            _flag(
+                "--l-poly", metavar="COEFFS",
+                help="comma-separated Frobenius polynomial coefficients; the count "
+                "is their sum (value at 1)",
+            ),
+            _int("--modulus-exponent", required=True, help="the level M of Z/p^M"),
+            _flag(
+                "--enlarge", metavar="PRIMES",
+                help="also emit T0 = {given primes} union {primes dividing N}",
+            ),
+            _FACTOR_BUDGET,
+        ),
+        _cmd_order,
+        plain=_order_plain,
+    ),
+    "descent-sim": Command(
+        "two-sided search on a tabulated fixture (JSON input)",
+        (_INPUT, _int("--n-cap", default=64), _int("--m-cap", default=64)),
+        _cmd_descent_sim,
+    ),
+    "report": Command(
+        "full pipeline from a JSON config",
+        (_flag("--config", required=True, metavar="FILE"), _JOBS, _FACTOR_BUDGET),
+        _cmd_report,
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -494,99 +543,43 @@ def build_parser() -> argparse.ArgumentParser:
         "halting levels, p-adic zero separation, and the descent endgame.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("dims", help="graded Lie dimensions L_n, r_n, dim U_n")
-    s.add_argument(
-        "--genus", "--g", dest="genus", type=int, required=True,
-        help="curve genus (>= 2)",
-    )
-    s.add_argument(
-        "--n-max", "--n", dest="n_max", type=int, required=True,
-        help="largest degree to list (0 for a header-only table)",
-    )
-    s.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_LEVEL_CAP,
-        help="refuse degrees beyond this cap (default %(default)s)",
-    )
-    _add_output_flags(s)
-    s.set_defaults(handler=_cmd_dims)
-
-    s = subs.add_parser("bounds", help="upper/lower bound table for one curve")
-    _add_curve_flags(s)
-    _add_output_flags(s)
-    s.set_defaults(handler=_cmd_bounds)
-
-    s = subs.add_parser("halt", help="halting level, optionally swept over ranks")
-    _add_curve_flags(s, allow_both_modes=True)
-    _add_output_flags(s)
-    s.set_defaults(handler=_cmd_halt)
-
-    s = subs.add_parser("separate", help="isolate zeros across charts (JSON input)")
-    s.add_argument("--input", required=True, metavar="FILE")
-    s.add_argument("--depth-cap", type=int, default=12)
-    s.add_argument("--jobs", type=int, default=1, help="worker threads")
-    _add_output_flags(s)
-    s.set_defaults(handler=_cmd_separate)
-
-    s = subs.add_parser(
-        "integrate", help="evaluate a word observable as a series (JSON input)"
-    )
-    s.add_argument("--input", required=True, metavar="FILE")
-    s.add_argument("--trunc", type=int, help="override the truncation degree")
-    _add_output_flags(s)
-    s.set_defaults(handler=_cmd_integrate)
-
-    s = subs.add_parser("order", help="local group order / annihilator N")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument(
-        "--genus", "--g", dest="genus", type=int, required=True,
-        help="dimension of the local Jacobian (>= 1)",
-    )
-    s.add_argument("--count-fp", type=int, help="group order over F_p")
-    s.add_argument(
-        "--l-poly",
-        metavar="COEFFS",
-        help="comma-separated Frobenius polynomial coefficients; the count "
-        "is their sum (value at 1)",
-    )
-    s.add_argument(
-        "--modulus-exponent", type=int, required=True, help="the level M of Z/p^M"
-    )
-    s.add_argument(
-        "--enlarge",
-        metavar="PRIMES",
-        help="also emit T0 = {given primes} union {primes dividing N}",
-    )
-    s.add_argument("--factor-budget", type=int, default=DEFAULT_FACTOR_BUDGET)
-    _add_output_flags(s)
-    s.set_defaults(handler=_cmd_order)
-
-    s = subs.add_parser(
-        "descent-sim", help="two-sided search on a tabulated fixture (JSON input)"
-    )
-    s.add_argument("--input", required=True, metavar="FILE")
-    s.add_argument("--n-cap", type=int, default=64)
-    s.add_argument("--m-cap", type=int, default=64)
-    _add_output_flags(s)
-    s.set_defaults(handler=_cmd_descent_sim)
-
-    s = subs.add_parser("report", help="full pipeline from a JSON config")
-    s.add_argument("--config", required=True, metavar="FILE")
-    s.add_argument("--jobs", type=int, default=1, help="worker threads")
-    s.add_argument("--factor-budget", type=int, default=DEFAULT_FACTOR_BUDGET)
-    _add_output_flags(s)
-    s.set_defaults(handler=_cmd_report)
-
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        for flag in command.flags + _OUTPUT_FLAGS:
+            sub.add_argument(*flag.names, **flag.options)
     return parser
 
 
+def _render(command: Command, style: str, doc: Doc) -> str:
+    render = command.csv if style == "csv" else command.plain
+    if style == "csv" and render is None:
+        raise DomainError(
+            "csv output is only available for the tabular commands "
+            "(dims, bounds, halt)"
+        )
+    if style == "json" or render is None:
+        return canonical_dumps(doc)
+    # the renderers format the canonical decimal strings, so every integer
+    # reaches text through canonicalize
+    return "\n".join(render(canonicalize(doc))) + "\n"
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        return args.handler(args)
+        for flag in command.flags:
+            dest = flag.options["dest"]
+            if flag.integer and getattr(args, dest) is not None:
+                setattr(args, dest, parse_int(getattr(args, dest), flag.names[0]))
+        code, doc = command.handler(args)
+        text = _render(command, args.output, doc)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Sequence, Tuple
 
 from .arith import DEFAULT_FACTOR_BUDGET, is_prime, prime_factors
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 
 class WeilBoundWarning(UserWarning):
@@ -79,18 +79,8 @@ class JacobianLocalData:
     def __post_init__(self):
         if not isinstance(self.p, int) or not is_prime(self.p):
             raise DomainError(f"p must be prime, got {self.p!r}")
-        if not isinstance(self.g, int) or isinstance(self.g, bool) or self.g < 1:
-            raise DomainError(
-                f"abelian variety dimension must be an integer >= 1, got {self.g!r}"
-            )
-        if (
-            not isinstance(self.count_fp, int)
-            or isinstance(self.count_fp, bool)
-            or self.count_fp < 1
-        ):
-            raise DomainError(
-                f"residue point count must be an integer >= 1, got {self.count_fp!r}"
-            )
+        check_int(self.g, "abelian variety dimension", 1)
+        check_int(self.count_fp, "residue point count", 1)
         lo = _pair_pow((self.p + 1, -2), self.g, self.p)
         hi = _pair_pow((self.p + 1, 2), self.g, self.p)
         if (
@@ -110,14 +100,7 @@ class JacobianLocalData:
 def jacobian_order_mod(data: JacobianLocalData, modulus_exponent: int) -> int:
     """#J(Z/p^M) = #J(F_p) * p^(g (M - 1)), exact for good reduction; this
     order is the annihilator N of the local group at level p^M."""
-    if (
-        not isinstance(modulus_exponent, int)
-        or isinstance(modulus_exponent, bool)
-        or modulus_exponent < 1
-    ):
-        raise DomainError(
-            f"modulus exponent must be an integer >= 1, got {modulus_exponent!r}"
-        )
+    check_int(modulus_exponent, "modulus exponent", 1)
     return data.count_fp * data.p ** (data.g * (modulus_exponent - 1))
 
 
@@ -134,8 +117,7 @@ def enlarged_prime_set(
     for q in s:
         if not isinstance(q, int) or isinstance(q, bool) or not is_prime(q):
             raise DomainError(f"S must contain primes, got {q!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"N must be an integer >= 1, got {n!r}")
+    check_int(n, "N", 1)
     if n == 1:
         return s
     return s | prime_factors(n, budget=budget)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer argument
+check that raises them.
 
 Library code raises these and stays application-agnostic; the mapping to
 process exit codes lives in :mod:`nadescent.cli`.
@@ -11,6 +12,13 @@ class NadescentError(Exception):
 
 class DomainError(NadescentError, ValueError):
     """A caller-supplied argument or input document is invalid."""
+
+
+def check_int(value, name: str, minimum: int) -> int:
+    """``value`` if it is an int (not a bool) of at least ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 class PrimeMismatchError(DomainError):

@@ -30,6 +30,7 @@ from .errors import (
     IrregularFormError,
     PrecisionExhaustedError,
     PrimeMismatchError,
+    check_int,
 )
 from .padic_series import DEFAULT_PRECISION, PadicNumber, PadicSeries
 
@@ -39,8 +40,7 @@ Word = Tuple[int, ...]
 def _validate_word(word, alphabet_size: Optional[int] = None) -> Word:
     word = tuple(word)
     for letter in word:
-        if not isinstance(letter, int) or isinstance(letter, bool) or letter < 1:
-            raise DomainError(f"word letters must be integers >= 1, got {letter!r}")
+        check_int(letter, "word letter", 1)
         if alphabet_size is not None and letter > alphabet_size:
             raise DomainError(
                 f"letter {letter} exceeds the {alphabet_size} available forms"
@@ -223,9 +223,6 @@ class Observable:
             acc[word] = acc[word] + coeff if word in acc else coeff
         kept = [(w, c) for w, c in sorted(acc.items()) if not c.is_exact_zero()]
         return cls(p=p, terms=tuple(kept))
-
-    def as_dict(self) -> Dict[Word, PadicNumber]:
-        return dict(self.terms)
 
 
 def observable_product(a: Observable, b: Observable) -> Observable:

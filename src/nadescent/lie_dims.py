@@ -30,7 +30,7 @@ from functools import cached_property
 from itertools import accumulate
 
 from .arith import divisors, mobius
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, check_int
 
 #: Default ceiling on n_max; raise explicitly via the ``cap`` argument if a
 #: computation genuinely needs deeper levels.
@@ -43,20 +43,11 @@ _cache_lock = threading.Lock()
 
 
 def validate_genus(g: int) -> int:
-    if not isinstance(g, int) or isinstance(g, bool) or g < 2:
-        raise DomainError(f"genus must be an integer >= 2, got {g!r}")
-    return g
-
-
-def lucas_sequence(g: int, n_max: int) -> list[int]:
-    """[L_0, ..., L_n_max] for the recurrence L_n = 2g L_{n-1} - L_{n-2}."""
-    validate_genus(g)
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
-    return _extend_lucas([2, 2 * g], g, n_max)[: n_max + 1]
+    return check_int(g, "genus", 2)
 
 
 def _extend_lucas(seq: list[int], g: int, n_max: int) -> list[int]:
+    """Extend [L_0, ...] through L_n_max by L_n = 2g L_{n-1} - L_{n-2}."""
     while len(seq) <= n_max:
         seq.append(2 * g * seq[-1] - seq[-2])
     return seq

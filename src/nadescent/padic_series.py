@@ -205,21 +205,6 @@ class PadicNumber:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "PadicNumber") -> "PadicNumber":
-        if not isinstance(other, PadicNumber):
-            return NotImplemented
-        self._require_same_prime(other)
-        if other.unit is None:
-            raise DomainError("divisor is indistinguishable from zero")
-        if self.is_exact_zero():
-            return self
-        if self.unit is None:
-            return PadicNumber.zero_to(self.p, self.val - other.val)
-        prec = min(self.prec, other.prec)
-        mod = self.p**prec
-        inv = pow(other.unit % mod, -1, mod)
-        return PadicNumber(self.p, self.val - other.val, self.unit * inv, prec)
-
     def scale_int(self, k: int) -> "PadicNumber":
         """Multiply by an exact integer (no precision is spent)."""
         if k == 0:

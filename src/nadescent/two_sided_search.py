@@ -18,7 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, FrozenSet, Optional, Protocol, Tuple
 
-from .errors import ContainmentViolatedError, DomainError, MonotonicityError
+from .errors import (
+    ContainmentViolatedError,
+    DomainError,
+    MonotonicityError,
+    check_int,
+)
 
 
 class LevelEnumerator(Protocol):
@@ -81,9 +86,8 @@ def run_descent(
     checked, then advances alternate lower, upper, lower, ... with a capped
     side skipped.  Containment A <= B is re-checked after every advance.
     """
-    for name, cap in (("n_cap", n_cap), ("m_cap", m_cap)):
-        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
-            raise DomainError(f"{name} must be a nonnegative integer, got {cap!r}")
+    check_int(n_cap, "n_cap", 0)
+    check_int(m_cap, "m_cap", 0)
 
     n = m = 0
     a = frozenset(lower.next_level(0))

@@ -13,6 +13,8 @@ mathematics or brute force than the library under test:
 * Elliptic-curve group orders come from counting affine solutions.
 * Two-sided-search outcomes come from directly tabulating both level
   sequences and walking the alternation schedule by hand.
+* Primality is checked against published lists of the composites that
+  fool each half of the test.
 """
 
 from __future__ import annotations
@@ -280,6 +282,56 @@ def tabulate_first_meeting(
         else:
             n += 1
         lower_next = not lower_next
+
+
+# ---------------------------------------------------------------------------
+# Pseudoprimes: composites that a probable-prime test lets through
+# ---------------------------------------------------------------------------
+
+#: psi_k, the least strong pseudoprime to all of the first k prime bases
+#: (OEIS A014233), k = 1..13; psi_7 = psi_8 and psi_9 = psi_10 = psi_11.
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+
+#: psi_12 = 399165290221 * 798330580441 and its cofactor-checked split.
+PSI_12_FACTORS = (399165290221, 798330580441)
+
+#: The strong pseudoprimes to base 2 below 10^5 (OEIS A001262).
+STRONG_PSEUDOPRIMES_BASE_2 = (
+    2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633, 65281,
+    74665, 80581, 85489, 88357, 90751,
+)
+
+#: The strong Lucas pseudoprimes (Selfridge parameters) below 2 * 10^5
+#: (OEIS A217255).
+STRONG_LUCAS_PSEUDOPRIMES = (
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+    75077, 97439, 100127, 113573, 115639, 130139, 155819, 158399, 161027,
+    162133, 176399, 176471, 189419, 192509, 197801,
+)
+
+
+def sieve_primes(limit: int) -> List[int]:
+    """The primes below ``limit`` by the sieve of Eratosthenes."""
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\x00\x00"
+    for q in range(2, math.isqrt(limit - 1) + 1):
+        if flags[q]:
+            flags[q * q :: q] = bytes(len(range(q * q, limit, q)))
+    return [n for n in range(limit) if flags[n]]
 
 
 # ---------------------------------------------------------------------------

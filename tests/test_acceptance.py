@@ -14,13 +14,11 @@ import time
 import pytest
 
 from nadescent import (
-    ContainmentViolatedError,
     FormSystem,
     IsolationError,
     JacobianLocalData,
     PadicSeries,
     ParityMode,
-    SeparationStatus,
     TableEnumerator,
     enlarged_prime_set,
     graded_dims,
@@ -32,6 +30,8 @@ from nadescent import (
     separation_modulus,
     shuffle,
 )
+from nadescent.errors import ContainmentViolatedError
+from nadescent.padic_series import SeparationStatus
 from nadescent.selmer_bounds import CurveParams
 
 from .conftest import capped_series, data_path, invoke_cli

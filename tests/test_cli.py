@@ -499,6 +499,13 @@ class TestIntegerFlags:
               "--modulus-exponent", "2"], "--l-poly"),
             (["order", "--p", "5", "--g", "1", "--count-fp", "9",
               "--modulus-exponent", "2", "--enlarge", "١١"], "--enlarge"),
+            (["dims", "--g", "٢", "--n", "٣", "--output", "csv"], "--genus"),
+            (["order", "--p", "٥", "--g", "1", "--count-fp", "9",
+              "--modulus-exponent", "2"], "--p"),
+            (["separate", "--input", data_path("charts_simple.json"),
+              "--depth-cap", "١"], "--depth-cap"),
+            (["report", "--config", data_path("report_config.json"),
+              "--jobs", "²"], "--jobs"),
         ],
     )
     def test_non_ascii_digits_are_refused(self, argv, flag):

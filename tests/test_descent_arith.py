@@ -11,12 +11,11 @@ from nadescent import (
     DomainError,
     FactorizationTimeoutError,
     JacobianLocalData,
-    WeilBoundWarning,
-    count_from_frobenius_poly,
     enlarged_prime_set,
     jacobian_order_mod,
 )
 from nadescent.arith import factorize, is_prime
+from nadescent.descent_arith import WeilBoundWarning, count_from_frobenius_poly
 
 from .oracles import elliptic_group_orders
 

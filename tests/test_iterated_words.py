@@ -11,16 +11,18 @@ import pytest
 from nadescent import (
     DomainError,
     FormSystem,
-    IrregularFormError,
     Observable,
     PadicNumber,
     PadicSeries,
-    PrecisionExhaustedError,
-    PrimeMismatchError,
     evaluate_observable,
     iterated_integral,
     observable_product,
     shuffle,
+)
+from nadescent.errors import (
+    IrregularFormError,
+    PrecisionExhaustedError,
+    PrimeMismatchError,
 )
 
 from .oracles import brute_shuffle, factorial_valuation
@@ -241,7 +243,7 @@ class TestObservable:
         obs = Observable.from_terms(5, [((2,), 1), ((1,), 2), ((2,), 3)])
         words = [w for w, _ in obs.terms]
         assert words == [(1,), (2,)]
-        assert obs.as_dict()[(2,)].agrees_with(PadicNumber.from_int(5, 4))
+        assert dict(obs.terms)[(2,)].agrees_with(PadicNumber.from_int(5, 4))
 
     def test_exact_zero_terms_pruned(self):
         obs = Observable.from_terms(5, [((1,), 0), ((2,), 1)])
@@ -249,7 +251,7 @@ class TestObservable:
 
     def test_mapping_input(self):
         obs = Observable.from_terms(5, {(1, 2): 7})
-        assert obs.as_dict()[(1, 2)].agrees_with(PadicNumber.from_int(5, 7))
+        assert dict(obs.terms)[(1, 2)].agrees_with(PadicNumber.from_int(5, 7))
 
     def test_bad_coefficients_rejected(self):
         with pytest.raises(DomainError):

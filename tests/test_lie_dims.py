@@ -8,14 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nadescent import (
-    DomainError,
-    GradedDims,
-    cumulative_dim,
-    divisors,
-    graded_dims,
-    lucas_sequence,
-)
+from nadescent import DomainError, cumulative_dim, graded_dims
+from nadescent.arith import divisors
+from nadescent.lie_dims import GradedDims
 from nadescent import lie_dims
 
 from .oracles import (
@@ -29,24 +24,24 @@ from .oracles import (
 class TestLucasSequence:
     def test_base_cases(self):
         for g in (2, 3, 5, 11):
-            seq = lucas_sequence(g, 1)
+            seq = graded_dims(g, 1).lucas
             assert seq[0] == 2
             assert seq[1] == 2 * g
 
     def test_g2_prefix(self):
-        assert lucas_sequence(2, 5) == [2, 4, 14, 52, 194, 724]
+        assert graded_dims(2, 5).lucas == (2, 4, 14, 52, 194, 724)
 
     def test_matches_quadratic_integer_powering(self):
         for g in range(2, 7):
-            seq = lucas_sequence(g, 64)
+            seq = graded_dims(g, 64).lucas
             for n in range(0, 65):
                 assert seq[n] == lucas_power_trace(g, n)
 
     def test_rejects_small_genus_and_negative_degree(self):
         with pytest.raises(DomainError):
-            lucas_sequence(1, 5)
+            graded_dims(1, 5)
         with pytest.raises(DomainError):
-            lucas_sequence(2, -1)
+            graded_dims(2, -1)
 
 
 class TestGradedDims:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nadescent import DomainError, PadicNumber, PrimeMismatchError
+from nadescent import DomainError, PadicNumber
+from nadescent.errors import PrimeMismatchError
 
 
 def N(n, p=5, prec=20):
@@ -125,13 +126,6 @@ class TestMultiplication:
         assert (x.scale_int(25).val, x.scale_int(25).prec) == (2, 3)
         assert x.scale_int(0).is_exact_zero()
         assert (3 * x).agrees_with(x + x + x)
-
-    def test_division(self):
-        q = N(10) / N(2)
-        assert q.agrees_with(N(5))
-        with pytest.raises(DomainError):
-            N(1) / PadicNumber.zero_to(5, 8)
-        assert (PadicNumber.zero_to(5, 6) / N(5)).abs_prec() == 5
 
     def test_div_int(self):
         assert N(10).div_int(2).agrees_with(N(5))

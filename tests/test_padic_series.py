@@ -7,22 +7,21 @@ from fractions import Fraction
 import pytest
 
 from nadescent import (
-    AllZeroPolygonError,
-    Chart,
-    DiskSeries,
     DomainError,
-    HullPrecisionError,
-    MultipleRootSuspectedError,
     PadicNumber,
     PadicSeries,
-    PrecisionExhaustedError,
-    PrimeMismatchError,
-    SeparationStatus,
     isolate_zeros,
-    newton_polygon,
     root_count_positive_valuation,
     separation_modulus,
 )
+from nadescent.errors import (
+    AllZeroPolygonError,
+    HullPrecisionError,
+    MultipleRootSuspectedError,
+    PrecisionExhaustedError,
+    PrimeMismatchError,
+)
+from nadescent.padic_series import Chart, DiskSeries, SeparationStatus, newton_polygon
 
 
 def S(ints, p=5, prec=20, wb="auto"):

@@ -6,19 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from nadescent import (
-    CurveParams,
-    DomainError,
-    GradedDims,
-    ParityError,
-    ParityMode,
-    graded_dims,
+from nadescent import CurveParams, DomainError, ParityMode, graded_dims, halting_level
+from nadescent.errors import ParityError
+from nadescent.lie_dims import GradedDims
+from nadescent.selmer_bounds import (
+    _bound_rows,
     h1_step_bound,
-    halting_level,
     local_h2_bound,
     minus_dim_bound,
 )
-from nadescent.selmer_bounds import _bound_rows
 
 from .oracles import oracle_halting_level
 

@@ -6,14 +6,9 @@ import random
 
 import pytest
 
-from nadescent import (
-    ContainmentViolatedError,
-    DescentOutcome,
-    DomainError,
-    MonotonicityError,
-    TableEnumerator,
-    run_descent,
-)
+from nadescent import DomainError, TableEnumerator, run_descent
+from nadescent.errors import ContainmentViolatedError, MonotonicityError
+from nadescent.two_sided_search import DescentOutcome
 
 from .oracles import tabulate_first_meeting
 
