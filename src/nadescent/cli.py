@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from functools import cache
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .arith import DEFAULT_FACTOR_BUDGET
@@ -536,7 +537,10 @@ COMMANDS: Dict[str, Command] = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``COMMANDS``, built on first use and then shared: parsing
+    keeps no state in it, and building it costs more than most commands."""
     parser = argparse.ArgumentParser(
         prog="nadescent",
         description="Effective nonabelian descent toolkit: dimension tables, "

@@ -349,20 +349,48 @@ def descent_fixture_from_json(
 
 def canonicalize(obj: Any) -> Any:
     """Recursively prepare a document: ints become decimal strings, enums
-    their values; floats are a hard error."""
+    their values; floats are a hard error.  An int whose bit length alone
+    puts it past the int/str digit limit is refused before any conversion."""
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        # 2^(b-1) > 10^limit once (b - 1) * 0.30102999 >= limit, and
+        # 0.30102999 < log10(2)
+        _refuse_long_ints(obj, -(-limit * 10**8 // 30102999) + 1)
+    return _canonical(obj)
+
+
+def _digit_limit_error() -> DigitLimitError:
+    return DigitLimitError(
+        "an output integer has more decimal digits than this "
+        f"interpreter's int/str limit of {sys.get_int_max_str_digits()}; "
+        "raise PYTHONINTMAXSTRDIGITS (0 lifts it) to print it"
+    )
+
+
+def _refuse_long_ints(obj: Any, min_bits: int) -> None:
+    if isinstance(obj, enum.Enum):
+        _refuse_long_ints(obj.value, min_bits)
+    elif isinstance(obj, int):
+        if obj.bit_length() >= min_bits:
+            raise _digit_limit_error()
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            _refuse_long_ints(v, min_bits)
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        for v in obj:
+            _refuse_long_ints(v, min_bits)
+
+
+def _canonical(obj: Any) -> Any:
     if isinstance(obj, bool) or obj is None or isinstance(obj, str):
         return obj
     if isinstance(obj, enum.Enum):
-        return canonicalize(obj.value)
+        return _canonical(obj.value)
     if isinstance(obj, int):
         try:
             return str(obj)
         except ValueError:  # int -> str fails only past the digit limit
-            raise DigitLimitError(
-                "an output integer has more decimal digits than this "
-                f"interpreter's int/str limit of {sys.get_int_max_str_digits()}; "
-                "raise PYTHONINTMAXSTRDIGITS (0 lifts it) to print it"
-            ) from None
+            raise _digit_limit_error() from None
     if isinstance(obj, float):
         raise InvariantError(
             f"float {obj!r} reached the serializer; all arithmetic here is exact"
@@ -372,12 +400,12 @@ def canonicalize(obj: Any) -> Any:
         for k, v in obj.items():
             if not isinstance(k, str):
                 raise InvariantError(f"non-string key {k!r} reached the serializer")
-            out[k] = canonicalize(v)
+            out[k] = _canonical(v)
         return out
     if isinstance(obj, (list, tuple)):
-        return [canonicalize(v) for v in obj]
+        return [_canonical(v) for v in obj]
     if isinstance(obj, (set, frozenset)):
-        return sorted(canonicalize(v) for v in obj)
+        return sorted(_canonical(v) for v in obj)
     raise InvariantError(f"unserializable value {obj!r}")
 
 

@@ -41,6 +41,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
+from operator import add, mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .arith import v_p
@@ -170,15 +172,9 @@ class PadicNumber:
         units = [x for x in (self, other) if x.unit is not None]
         if not units:
             return PadicNumber.zero_to(p, n_abs)
-        base = min(min(x.val for x in units), n_abs)
-        digits = n_abs - base
-        if digits <= 0:
-            return PadicNumber.zero_to(p, n_abs)
-        total = sum(x.unit * p ** (x.val - base) for x in units) % p**digits
-        if total == 0:
-            return PadicNumber.zero_to(p, n_abs)
-        t = v_p(total, p)
-        return PadicNumber(p, base + t, total // p**t, digits - t)
+        base = min(x.val for x in units)
+        total = sum(x.unit * p ** (x.val - base) for x in units)
+        return _normalize(p, base, total, n_abs)
 
     def __neg__(self) -> "PadicNumber":
         if self.unit is None:
@@ -265,6 +261,63 @@ class PadicNumber:
         if self.unit is None:
             return f"O({self.p}^{self.val})"
         return f"{self.unit}*{self.p}^{self.val} + O({self.p}^{self.val + self.prec})"
+
+
+#: Valuation and absolute precision of an exact zero in the integer kernels.
+_INF = math.inf
+
+
+def _normalize(p: int, base: int, total: int, abs_prec) -> PadicNumber:
+    """The number ``total * p^base`` known modulo ``p^abs_prec``.
+
+    ``abs_prec`` is +inf when no term fed the number (the exact zero); a
+    total that vanishes at the known precision becomes ``O(p^abs_prec)``.
+    Every number the arithmetic builds from a sum goes through here, so a
+    result has one canonical form however its terms were grouped.
+    """
+    if abs_prec == _INF:
+        return PadicNumber.zero(p)
+    while total and total % p == 0:
+        total //= p
+        base += 1
+    if not total or base >= abs_prec:
+        return PadicNumber.zero_to(p, abs_prec)
+    return PadicNumber(p, base, total, abs_prec - base)
+
+
+def _integers(p: int, coeffs: Sequence[PadicNumber]) -> tuple[int, list, list, list]:
+    """Coefficients as plain integers: ``(base, ints, vals, abss)``.
+
+    Coefficient i is ``ints[i] * p^base`` known modulo ``p^abss[i]``, with
+    valuation floor ``vals[i]``; ``base`` is the least valuation of a unit
+    form, an ``O(p^k)`` contributes the integer 0, and an exact zero has
+    valuation and precision +inf.
+    """
+    base = min((c.val for c in coeffs if c.unit is not None), default=0)
+    ints, vals, abss = [], [], []
+    for c in coeffs:
+        if c.unit is not None:
+            ints.append(c.unit * p ** (c.val - base))
+            vals.append(c.val)
+            abss.append(c.val + c.prec)
+        else:
+            v = _INF if c.val is None else c.val
+            ints.append(0)
+            vals.append(v)
+            abss.append(v)
+    return base, ints, vals, abss
+
+
+@lru_cache(maxsize=256)
+def _binomial_valuations(p: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Row j holds v_p(C(m, j)) for m = j..n-1, by Legendre's formula."""
+    fact = [0] * n  # fact[k] = v_p(k!)
+    for k in range(1, n):
+        fact[k] = fact[k - 1] + v_p(k, p)
+    return tuple(
+        tuple(fact[m] - fact[j] - fact[m - j] for m in range(j, n))
+        for j in range(n)
+    )
 
 
 class PadicSeries:
@@ -398,14 +451,23 @@ class PadicSeries:
         if not isinstance(other, PadicSeries):
             return NotImplemented
         self._require_same_prime(other)
+        # Product d is the convolution sum of a_i b_(d-i); a live term is
+        # known to min(abs(a_i) + v(b_(d-i)), abs(b_(d-i)) + v(a_i)).
+        p = self.p
         n = min(len(self.coeffs), len(other.coeffs))
+        a_base, a_ints, a_vals, a_abss = _integers(p, self.coeffs[:n])
+        b_base, b_ints, b_vals, b_abss = _integers(p, other.coeffs[n - 1 :: -1])
+        base = a_base + b_base
         out = []
         for d in range(n):
-            acc = PadicNumber.zero(self.p)
-            for i in range(d + 1):
-                acc = acc + self.coeffs[i] * other.coeffs[d - i]
-            out.append(acc)
-        return PadicSeries(self.p, out)
+            lo = n - 1 - d  # b_(d-i) sits at index lo + i of the reversed lists
+            abs_prec = min(
+                min(map(add, a_abss, b_vals[lo:])),
+                min(map(add, a_vals, b_abss[lo:])),
+            )
+            total = sum(map(mul, a_ints, b_ints[lo:]))
+            out.append(_normalize(p, base, total, abs_prec))
+        return PadicSeries(p, out)
 
     def scale(self, c: Union[PadicNumber, int]) -> "PadicSeries":
         if isinstance(c, int):
@@ -449,17 +511,28 @@ class PadicSeries:
     # -- substitution ------------------------------------------------------
 
     def shift_center(self, c: int) -> "PadicSeries":
-        """The series of z -> f(c + z), by exact binomial recombination."""
+        """The series of z -> f(c + z), by exact binomial recombination.
+
+        Coefficient j is the sum over m >= j of C(m, j) c^(m-j) c_m, known
+        to the least abs(c_m) + v_p(C(m, j)) + (m - j) v_p(c) over the live
+        c_m; the sums come from Horner's scheme on the coefficient integers.
+        """
         if c == 0:
             return self
+        p = self.p
         n = len(self.coeffs)
+        base, ints, _, abss = _integers(p, self.coeffs)
+        for i in range(n - 1):
+            acc = ints[-1]
+            for k in range(n - 2, i - 1, -1):
+                acc = ints[k] = ints[k] + c * acc
+        t = v_p(c, p)
+        spent = [a + m * t for m, a in enumerate(abss)]
         out = []
-        for j in range(n):
-            acc = PadicNumber.zero(self.p)
-            for m in range(j, n):
-                acc = acc + self.coeffs[m].scale_int(math.comb(m, j) * c ** (m - j))
-            out.append(acc)
-        return PadicSeries(self.p, out, self.weierstrass_bound)
+        for j, row in enumerate(_binomial_valuations(p, n)):
+            abs_prec = min(map(add, spent[j:], row)) - j * t
+            out.append(_normalize(p, base, ints[j], abs_prec))
+        return PadicSeries(p, out, self.weierstrass_bound)
 
     def rescale_p(self) -> "PadicSeries":
         """The series of z -> f(p z): coefficient i gains valuation i."""
@@ -467,16 +540,24 @@ class PadicSeries:
         return PadicSeries(self.p, out, self.weierstrass_bound)
 
     def evaluate(self, x: Union[int, PadicNumber]) -> PadicNumber:
-        acc = PadicNumber.zero(self.p)
+        """f(x).  At an integer x the value is known to the least
+        abs(c_i) + i v_p(x) over the live c_i (f(0) is c_0 itself)."""
+        p = self.p
         if isinstance(x, int):
-            for c in reversed(self.coeffs):
-                acc = acc.scale_int(x) + c
-        else:
-            self_p = self.p
-            if x.p != self_p:
-                raise PrimeMismatchError("evaluation point over a different prime")
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
+            if x == 0:
+                return self.coeffs[0]
+            base, ints, _, abss = _integers(p, self.coeffs)
+            t = v_p(x, p)
+            abs_prec = min(a + i * t for i, a in enumerate(abss))
+            total = 0
+            for a in reversed(ints):
+                total = total * x + a
+            return _normalize(p, base, total, abs_prec)
+        if x.p != p:
+            raise PrimeMismatchError("evaluation point over a different prime")
+        acc = PadicNumber.zero(p)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
         return acc
 
     # -- comparisons -------------------------------------------------------

@@ -49,8 +49,7 @@ class TableEnumerator:
         object.__setattr__(self, "levels", levels)
 
     def next_level(self, level: int) -> FrozenSet:
-        if not isinstance(level, int) or level < 0:
-            raise DomainError(f"level must be a nonnegative integer, got {level!r}")
+        check_int(level, "level", 0)
         return self.levels[min(level, len(self.levels) - 1)]
 
 

@@ -15,6 +15,10 @@ mathematics or brute force than the library under test:
   sequences and walking the alternation schedule by hand.
 * Primality is checked against published lists of the composites that
   fool each half of the test.
+* The series kernels (Taylor shift, evaluation at an integer, product),
+  which run on plain integers, are checked against loops that chain one
+  ``PadicNumber`` operation per term, so that every intermediate sum is
+  rounded by the scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
+
+from nadescent.padic_series import PadicNumber
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +338,45 @@ def sieve_primes(limit: int) -> List[int]:
         if flags[q]:
             flags[q * q :: q] = bytes(len(range(q * q, limit, q)))
     return [n for n in range(limit) if flags[n]]
+
+
+# ---------------------------------------------------------------------------
+# Series kernels as PadicNumber loops
+# ---------------------------------------------------------------------------
+
+
+def shift_center_by_objects(f, c: int):
+    """Coefficients of f(c + z): one scale_int and one + per term."""
+    if c == 0:
+        return list(f.coeffs)
+    n = len(f.coeffs)
+    out = []
+    for j in range(n):
+        acc = PadicNumber.zero(f.p)
+        for m in range(j, n):
+            acc = acc + f.coeffs[m].scale_int(math.comb(m, j) * c ** (m - j))
+        out.append(acc)
+    return out
+
+
+def evaluate_by_objects(f, x: int):
+    """f(x) at an integer x by Horner's scheme on PadicNumbers."""
+    acc = PadicNumber.zero(f.p)
+    for c in reversed(f.coeffs):
+        acc = acc.scale_int(x) + c
+    return acc
+
+
+def series_mul_by_objects(f, g):
+    """Coefficients of f g: one * and one + per pair of terms."""
+    n = min(len(f.coeffs), len(g.coeffs))
+    out = []
+    for d in range(n):
+        acc = PadicNumber.zero(f.p)
+        for i in range(d + 1):
+            acc = acc + f.coeffs[i] * g.coeffs[d - i]
+        out.append(acc)
+    return out
 
 
 # ---------------------------------------------------------------------------

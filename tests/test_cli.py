@@ -7,6 +7,10 @@ import sys
 
 import pytest
 
+from nadescent import cli
+from nadescent.errors import DigitLimitError
+from nadescent.jsonio import canonicalize
+
 from .conftest import data_path, invoke_cli, write_json
 
 
@@ -565,6 +569,58 @@ class TestDigitLimit:
         code, out, err = invoke_cli(["integrate", "--input", str(path)])
         assert (code, out) == (2, "")
         assert "literal.json" in err and "PYTHONINTMAXSTRDIGITS" in err
+
+
+class Unconvertible(int):
+    def __str__(self):  # pragma: no cover - must never be reached
+        raise AssertionError("converted before the refusal")
+
+
+class TestDigitLimitPrecheck:
+    @pytest.mark.parametrize("bits", range(2120, 2140))
+    def test_bit_length_refusal_agrees_with_str(self, low_digit_limit, bits):
+        # 2^2125 has 640 digits, 2^2126 has 641: the band straddles the limit
+        for n in (2**bits - 1, 2**bits, -(2**bits)):
+            try:
+                want = str(n)
+            except ValueError:
+                want = None
+            try:
+                got = canonicalize({"rows": [n]})["rows"][0]
+            except DigitLimitError:
+                got = None
+            assert got == want
+
+    def test_refuses_before_converting_the_rows(self, low_digit_limit):
+        # the first row cannot be converted, the last alone is long enough
+        # for its bit length to prove the refusal
+        doc = [Unconvertible(), 10**700]
+        with pytest.raises(DigitLimitError):
+            canonicalize(doc)
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["dims", "--g", "3", "--n", "6", "--output", "csv"],
+        ["halt", "--g", "2", "--p", "101", "--bad-count", "1", "--rank", "0..3"],
+        ["dims", "--g", "2", "--n", "4"],
+        ["bounds", "--g", "2", "--p", "101", "--bad-primes", "11,13",
+         "--rank", "1", "--output", "plain"],
+        ["dims", "--g", "x", "--n", "4"],
+        ["halt", "--g", "2", "--p", "101", "--bad-count", "1", "--rank", "2"],
+    ]
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_in_a_row_match_fresh_calls(self):
+        in_a_row = [invoke_cli(argv) for argv in self.ARGVS]
+        fresh = []
+        for argv in self.ARGVS:
+            cli.build_parser.cache_clear()
+            fresh.append(invoke_cli(argv))
+        assert in_a_row == fresh
+        assert [code for code, _, _ in in_a_row] == [0, 0, 0, 0, 2, 0]
 
 
 class TestWeierstrassBound:

@@ -31,7 +31,7 @@ class TestTableEnumerator:
         with pytest.raises(DomainError):
             TableEnumerator([])
 
-    @pytest.mark.parametrize("level", [-1, "0", 1.5])
+    @pytest.mark.parametrize("level", [-1, "0", 1.5, True, False])
     def test_rejects_bad_level(self, level):
         t = TableEnumerator([[1]])
         with pytest.raises(DomainError):
