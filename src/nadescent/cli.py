@@ -56,6 +56,7 @@ from .jsonio import (
     load_json_file,
     observable_from_json,
     parse_int,
+    refuse_unprintable,
     require,
     separation_report_to_json,
     series_to_json,
@@ -123,7 +124,10 @@ def _annihilator(p: int, g: int, count_fp: int, m: int) -> Tuple[int, List[str]]
     """N at level p^M, with the Weil-interval warnings its input raised."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        n_value = jacobian_order_mod(JacobianLocalData(p=p, g=g, count_fp=count_fp), m)
+        data = JacobianLocalData(p=p, g=g, count_fp=count_fp)
+    # N >= p^(g (M - 1)) >= 2^(g (M - 1) (bit_length(p) - 1)): refuse it early
+    refuse_unprintable(g * (m - 1) * (p.bit_length() - 1) + 1)
+    n_value = jacobian_order_mod(data, m)
     return n_value, [
         str(w.message) for w in caught if issubclass(w.category, WeilBoundWarning)
     ]

@@ -113,9 +113,8 @@ class FormSystem:
                     f"form {idx} is truncated at degree {form.trunc_degree}, "
                     f"expected {degree}"
                 )
-            for i, c in enumerate(form.coeffs):
-                floor = c.valuation_floor()
-                if floor is not None and floor < 0:
+            for i, floor in enumerate(form.vals()):
+                if floor < 0:
                     raise IrregularFormError(
                         f"form {idx}, coefficient {i}: valuation "
                         f"{floor} < 0; forms must be p-integral on the chart"
@@ -149,13 +148,14 @@ def _integral(
         out = PadicSeries.constant(system.p, 1, trunc, system.working_prec)
     else:
         tail = _integral(system, word[1:], trunc, memo)
-        integrand = (system.forms[word[0] - 1] * tail).truncate(trunc - 1)
-        out = integrand.antiderivative()
-        for m, c in enumerate(out.coeffs):
-            if c.is_unknown_zero() and c.val <= 0:
+        # product coefficient d needs operand coefficients up to d only
+        form = system.forms[word[0] - 1].truncate(trunc - 1)
+        out = (form * tail.truncate(trunc - 1)).antiderivative()
+        for m, k in enumerate(out.abs_precs()):
+            if k <= 0 and out.coeff(m).is_unknown_zero():
                 raise PrecisionExhaustedError(
                     f"coefficient {m} of the integral for word {word} "
-                    f"degraded to O({system.p}^{c.val}); raise the working "
+                    f"degraded to O({system.p}^{k}); raise the working "
                     f"precision of the forms"
                 )
     memo[word] = out

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import re
 import sys
 from typing import Any, Dict, List, Optional, Tuple
@@ -351,12 +352,23 @@ def canonicalize(obj: Any) -> Any:
     """Recursively prepare a document: ints become decimal strings, enums
     their values; floats are a hard error.  An int whose bit length alone
     puts it past the int/str digit limit is refused before any conversion."""
-    limit = sys.get_int_max_str_digits()
-    if limit:
-        # 2^(b-1) > 10^limit once (b - 1) * 0.30102999 >= limit, and
-        # 0.30102999 < log10(2)
-        _refuse_long_ints(obj, -(-limit * 10**8 // 30102999) + 1)
+    _refuse_long_ints(obj, _unprintable_bits())
     return _canonical(obj)
+
+
+def _unprintable_bits() -> float:
+    """The least bit length that proves an int past the int/str digit limit
+    (+inf when the limit is lifted)."""
+    limit = sys.get_int_max_str_digits()
+    # 2^(b-1) > 10^limit once (b - 1) * 0.30102999 >= limit, and
+    # 0.30102999 < log10(2)
+    return -(-limit * 10**8 // 30102999) + 1 if limit else math.inf
+
+
+def refuse_unprintable(bits: int) -> None:
+    """Refuse, before computing it, an output int of at least ``bits`` bits."""
+    if bits >= _unprintable_bits():
+        raise _digit_limit_error()
 
 
 def _digit_limit_error() -> DigitLimitError:

@@ -17,10 +17,15 @@ A PadicNumber is in one of three states:
 * unit form ``u * p^v`` with p coprime to u, known modulo p^(v + prec) for a
   relative precision prec >= 1.
 
-Arithmetic propagates the absolute precision min-wise and never invents
-digits; cancellation degrades a sum to ``O(p^k)`` rather than guessing its
-valuation.  Every consumer of a polygon or a root count either receives a
-certified answer or an explicit precision error.
+A PadicSeries stores coefficient i as ``ints[i] * p^base`` known modulo
+``p^abss[i]``, with ``0 <= ints[i] < p^(abss[i] - base)``: ``O(p^k)`` is 0
+with precision k, the exact zero 0 with precision +inf.
+
+Arithmetic never invents digits: each output is known to the least
+precision among the terms that feed it (the capped-absolute model of
+Caruso, Roe & Vaccon, 2014); cancellation degrades a sum to ``O(p^k)``
+rather than guessing its valuation.  Every consumer of a polygon or a root
+count either receives a certified answer or an explicit precision error.
 
 Weierstrass bound
 -----------------
@@ -54,6 +59,7 @@ from .errors import (
     MultipleRootSuspectedError,
     PrecisionExhaustedError,
     PrimeMismatchError,
+    check_int,
 )
 
 #: Relative precision used when a caller supplies plain integers and does
@@ -87,10 +93,8 @@ class PadicNumber:
             unit %= p**prec
             if unit == 0 or unit % p == 0:
                 raise DomainError(f"unit part {unit} is not coprime to {p}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "val", val)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "prec", prec)
+        for name, value in zip(self.__slots__, (p, val, unit, prec)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("PadicNumber is immutable")
@@ -139,30 +143,14 @@ class PadicNumber:
 
     def abs_prec(self) -> Optional[int]:
         """Absolute precision (exponent of the known modulus); None = exact."""
-        if self.is_exact_zero():
-            return None
-        if self.unit is None:
-            return self.val
-        return self.val + self.prec
-
-    def valuation_floor(self) -> Optional[int]:
-        """A certified lower bound for the valuation; None means +infinity."""
-        if self.is_exact_zero():
-            return None
-        return self.val
+        return self.val if self.unit is None else self.val + self.prec
 
     # -- arithmetic --------------------------------------------------------
-
-    def _require_same_prime(self, other: "PadicNumber") -> None:
-        if self.p != other.p:
-            raise PrimeMismatchError(
-                f"operands live over p={self.p} and p={other.p}"
-            )
 
     def __add__(self, other: "PadicNumber") -> "PadicNumber":
         if not isinstance(other, PadicNumber):
             return NotImplemented
-        self._require_same_prime(other)
+        _require_same_prime(self, other)
         if self.is_exact_zero():
             return other
         if other.is_exact_zero():
@@ -191,7 +179,7 @@ class PadicNumber:
             return self.scale_int(other)
         if not isinstance(other, PadicNumber):
             return NotImplemented
-        self._require_same_prime(other)
+        _require_same_prime(self, other)
         if self.is_exact_zero() or other.is_exact_zero():
             return PadicNumber.zero(self.p)
         if self.unit is None or other.unit is None:
@@ -210,47 +198,19 @@ class PadicNumber:
         t = v_p(k, self.p)
         if self.unit is None:
             return PadicNumber.zero_to(self.p, self.val + t)
-        return PadicNumber(
-            self.p, self.val + t, self.unit * (k // self.p**t), self.prec
-        )
-
-    def div_int(self, k: int) -> "PadicNumber":
-        """Divide by an exact nonzero integer."""
-        if k == 0:
-            raise DomainError("division by zero")
-        if self.is_exact_zero():
-            return self
-        t = v_p(k, self.p)
-        if self.unit is None:
-            return PadicNumber.zero_to(self.p, self.val - t)
-        mod = self.p**self.prec
-        inv = pow((k // self.p**t) % mod, -1, mod)
-        return PadicNumber(self.p, self.val - t, self.unit * inv, self.prec)
-
-    def shift_val(self, t: int) -> "PadicNumber":
-        """Multiply by p^t (exact)."""
-        if self.is_exact_zero() or t == 0:
-            return self
-        if self.unit is None:
-            return PadicNumber.zero_to(self.p, self.val + t)
-        return PadicNumber(self.p, self.val + t, self.unit, self.prec)
+        unit = self.unit * (k // self.p**t)
+        return PadicNumber(self.p, self.val + t, unit, self.prec)
 
     # -- comparisons -------------------------------------------------------
 
     def agrees_with(self, other: "PadicNumber") -> bool:
         """True when the two values coincide to the joint tracked precision."""
-        diff = self - other
-        return diff.unit is None
+        return (self - other).unit is None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PadicNumber):
             return NotImplemented
-        return (self.p, self.val, self.unit, self.prec) == (
-            other.p,
-            other.val,
-            other.unit,
-            other.prec,
-        )
+        return all(getattr(self, s) == getattr(other, s) for s in self.__slots__)
 
     def __hash__(self) -> int:
         return hash((self.p, self.val, self.unit, self.prec))
@@ -263,16 +223,22 @@ class PadicNumber:
         return f"{self.unit}*{self.p}^{self.val} + O({self.p}^{self.val + self.prec})"
 
 
-#: Valuation and absolute precision of an exact zero in the integer kernels.
+#: Valuation and absolute precision of an exact zero.
 _INF = math.inf
+
+
+def _require_same_prime(a, b) -> None:
+    """Refuse to combine numbers or series over different primes."""
+    if a.p != b.p:
+        raise PrimeMismatchError(f"operands live over p={a.p} and p={b.p}")
 
 
 def _normalize(p: int, base: int, total: int, abs_prec) -> PadicNumber:
     """The number ``total * p^base`` known modulo ``p^abs_prec``.
 
-    ``abs_prec`` is +inf when no term fed the number (the exact zero); a
-    total that vanishes at the known precision becomes ``O(p^abs_prec)``.
-    Every number the arithmetic builds from a sum goes through here, so a
+    ``abs_prec`` is +inf for the exact zero; a total that vanishes at the
+    known precision becomes ``O(p^abs_prec)``.  Every number built from a
+    sum, and every series coefficient read out, goes through here, so a
     result has one canonical form however its terms were grouped.
     """
     if abs_prec == _INF:
@@ -285,27 +251,18 @@ def _normalize(p: int, base: int, total: int, abs_prec) -> PadicNumber:
     return PadicNumber(p, base, total, abs_prec - base)
 
 
-def _integers(p: int, coeffs: Sequence[PadicNumber]) -> tuple[int, list, list, list]:
-    """Coefficients as plain integers: ``(base, ints, vals, abss)``.
+def _reduced(p: int, base: int, ints, abss) -> list:
+    """Each ``ints[i]`` reduced modulo ``p^(abss[i] - base)``; 0 where no
+    digit at or above ``p^base`` is known, and for the exact zero."""
+    return [
+        x % p ** (a - base) if base < a < _INF else 0 for x, a in zip(ints, abss)
+    ]
 
-    Coefficient i is ``ints[i] * p^base`` known modulo ``p^abss[i]``, with
-    valuation floor ``vals[i]``; ``base`` is the least valuation of a unit
-    form, an ``O(p^k)`` contributes the integer 0, and an exact zero has
-    valuation and precision +inf.
-    """
-    base = min((c.val for c in coeffs if c.unit is not None), default=0)
-    ints, vals, abss = [], [], []
-    for c in coeffs:
-        if c.unit is not None:
-            ints.append(c.unit * p ** (c.val - base))
-            vals.append(c.val)
-            abss.append(c.val + c.prec)
-        else:
-            v = _INF if c.val is None else c.val
-            ints.append(0)
-            vals.append(v)
-            abss.append(v)
-    return base, ints, vals, abss
+
+def _valuations(p: int, base: int, ints, abss) -> list:
+    """Valuation floor of each stored coefficient: the valuation of a unit
+    form, k for ``O(p^k)``, +inf for the exact zero."""
+    return [base + v_p(x, p) if x else a for x, a in zip(ints, abss)]
 
 
 @lru_cache(maxsize=256)
@@ -321,7 +278,9 @@ def _binomial_valuations(p: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 class PadicSeries:
-    """A truncated power series sum c_i z^i, i = 0..trunc_degree.
+    """A truncated power series sum c_i z^i, i = 0..trunc_degree, stored as
+    the integers ``ints`` over ``base`` with precisions ``abss`` (see the
+    module docstring).
 
     ``weierstrass_bound`` is the analytic guarantee described in the module
     docstring; it survives recentering (z -> c + z), the p-rescale
@@ -329,7 +288,7 @@ class PadicSeries:
     products, derivatives) whose zeros it says nothing about.
     """
 
-    __slots__ = ("p", "coeffs", "weierstrass_bound")
+    __slots__ = ("p", "base", "ints", "abss", "weierstrass_bound")
 
     def __init__(
         self,
@@ -347,29 +306,27 @@ class PadicSeries:
                 raise PrimeMismatchError(
                     f"coefficient over p={c.p} in a series over p={p}"
                 )
-        if weierstrass_bound is not None:
-            if not 0 <= weierstrass_bound <= len(coeffs) - 1:
-                raise DomainError(
-                    f"weierstrass bound {weierstrass_bound} outside "
-                    f"0..{len(coeffs) - 1}"
-                )
-            start = weierstrass_bound + 1
-            if start < len(coeffs):
-                floor = min(
-                    (c.val for c in coeffs[:start] if c.val is not None),
-                    default=None,
-                )
-                for i, c in enumerate(coeffs[start:], start):
-                    if c.unit is not None and (floor is None or c.val <= floor):
-                        raise DomainError(
-                            f"weierstrass bound {weierstrass_bound} is refuted "
-                            f"by coefficient {i} of valuation {c.val}, which no "
-                            f"coefficient at or below the bound is known to "
-                            f"exceed"
-                        )
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "weierstrass_bound", weierstrass_bound)
+        base = min((c.val for c in coeffs if c.unit is not None), default=0)
+        ints = [0 if c.unit is None else c.unit * p ** (c.val - base) for c in coeffs]
+        abss = [_INF if c.is_exact_zero() else c.abs_prec() for c in coeffs]
+        self._store(p, base, ints, abss, weierstrass_bound)
+
+    def _store(self, p, base, ints, abss, bound) -> None:
+        n = len(ints)
+        if bound is not None and not 0 <= bound <= n - 1:
+            raise DomainError(f"weierstrass bound {bound} outside 0..{n - 1}")
+        if bound is not None and bound + 1 < n:
+            vals = _valuations(p, base, ints, abss)
+            floor = min(vals[: bound + 1])
+            for i in range(bound + 1, n):
+                if ints[i] and vals[i] <= floor:
+                    raise DomainError(
+                        f"weierstrass bound {bound} is refuted by coefficient {i} "
+                        f"of valuation {vals[i]}, which no coefficient at or "
+                        f"below the bound is known to exceed"
+                    )
+        for name, value in zip(self.__slots__, (p, base, ints, abss, bound)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("PadicSeries is immutable")
@@ -391,8 +348,7 @@ class PadicSeries:
         """
         coeffs = [PadicNumber.from_int(p, n, prec) for n in ints]
         if weierstrass_bound == "auto":
-            nz = [i for i, n in enumerate(ints) if n != 0]
-            weierstrass_bound = nz[-1] if nz else 0
+            weierstrass_bound = max((i for i, n in enumerate(ints) if n), default=0)
         return cls(p, coeffs, weierstrass_bound)
 
     @classmethod
@@ -408,10 +364,22 @@ class PadicSeries:
 
     @property
     def trunc_degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def coeff(self, i: int) -> PadicNumber:
-        return self.coeffs[i]
+        return _normalize(self.p, self.base, self.ints[i], self.abss[i])
+
+    @property
+    def coeffs(self) -> tuple[PadicNumber, ...]:
+        return tuple(map(self.coeff, range(len(self.ints))))
+
+    def vals(self) -> list:
+        """The valuation floor of every coefficient (+inf for an exact zero)."""
+        return _valuations(self.p, self.base, self.ints, self.abss)
+
+    def abs_precs(self) -> list:
+        """The absolute precision of every coefficient (+inf for an exact zero)."""
+        return list(self.abss)
 
     def truncate(self, degree: int) -> "PadicSeries":
         if degree < 0:
@@ -420,27 +388,23 @@ class PadicSeries:
             return self
         wb = self.weierstrass_bound
         wb = wb if wb is not None and wb <= degree else None
-        return PadicSeries(self.p, self.coeffs[: degree + 1], wb)
+        n = degree + 1
+        return _series(self.p, self.base, self.ints[:n], self.abss[:n], wb)
 
     def with_weierstrass_bound(self, bound: Optional[int]) -> "PadicSeries":
-        return PadicSeries(self.p, self.coeffs, bound)
+        return _series(self.p, self.base, self.ints, self.abss, bound)
 
     # -- arithmetic --------------------------------------------------------
-
-    def _require_same_prime(self, other: "PadicSeries") -> None:
-        if self.p != other.p:
-            raise PrimeMismatchError(
-                f"series over p={self.p} and p={other.p} cannot be combined"
-            )
 
     def __add__(self, other: "PadicSeries") -> "PadicSeries":
         if not isinstance(other, PadicSeries):
             return NotImplemented
-        self._require_same_prime(other)
-        n = min(len(self.coeffs), len(other.coeffs))
-        return PadicSeries(
-            self.p, [self.coeffs[i] + other.coeffs[i] for i in range(n)]
-        )
+        _require_same_prime(self, other)
+        p, base = self.p, min(self.base, other.base)
+        sa, sb = p ** (self.base - base), p ** (other.base - base)
+        abss = list(map(min, self.abss, other.abss))
+        ints = [x * sa + y * sb for x, y in zip(self.ints, other.ints)]
+        return _series(p, base, _reduced(p, base, ints, abss), abss)
 
     def __sub__(self, other: "PadicSeries") -> "PadicSeries":
         if not isinstance(other, PadicSeries):
@@ -450,63 +414,74 @@ class PadicSeries:
     def __mul__(self, other: "PadicSeries") -> "PadicSeries":
         if not isinstance(other, PadicSeries):
             return NotImplemented
-        self._require_same_prime(other)
+        _require_same_prime(self, other)
         # Product d is the convolution sum of a_i b_(d-i); a live term is
         # known to min(abs(a_i) + v(b_(d-i)), abs(b_(d-i)) + v(a_i)).
         p = self.p
-        n = min(len(self.coeffs), len(other.coeffs))
-        a_base, a_ints, a_vals, a_abss = _integers(p, self.coeffs[:n])
-        b_base, b_ints, b_vals, b_abss = _integers(p, other.coeffs[n - 1 :: -1])
-        base = a_base + b_base
-        out = []
+        n = min(len(self.ints), len(other.ints))
+        a_ints, a_abss, a_vals = self.ints, self.abss, self.vals()
+        b_ints, b_abss = other.ints[n - 1 :: -1], other.abss[n - 1 :: -1]
+        b_vals = _valuations(p, other.base, b_ints, b_abss)
+        ints, abss = [], []
         for d in range(n):
             lo = n - 1 - d  # b_(d-i) sits at index lo + i of the reversed lists
-            abs_prec = min(
-                min(map(add, a_abss, b_vals[lo:])),
-                min(map(add, a_vals, b_abss[lo:])),
-            )
-            total = sum(map(mul, a_ints, b_ints[lo:]))
-            out.append(_normalize(p, base, total, abs_prec))
-        return PadicSeries(p, out)
+            known = min(map(add, a_abss, b_vals[lo:]))
+            abss.append(min(known, min(map(add, a_vals, b_abss[lo:]))))
+            ints.append(sum(map(mul, a_ints, b_ints[lo:])))
+        base = self.base + other.base
+        return _series(p, base, _reduced(p, base, ints, abss), abss)
 
-    def scale(self, c: Union[PadicNumber, int]) -> "PadicSeries":
-        if isinstance(c, int):
-            return self.scale_int(c)
-        keep = c.unit is not None
-        return PadicSeries(
-            self.p,
-            [x * c for x in self.coeffs],
-            self.weierstrass_bound if keep else None,
-        )
+    def scale(self, c: PadicNumber) -> "PadicSeries":
+        """c f: coefficient i is known to min(abs(c_i), v(c_i) + prec(c)) +
+        v(c); an ``O(p^k)`` scalar counts as unit 0 with prec 0."""
+        _require_same_prime(self, c)
+        if c.is_exact_zero():
+            return self.scale_int(0)
+        abss = [min(a, v + c.prec) + c.val for a, v in zip(self.abss, self.vals())]
+        base = self.base + c.val
+        ints = _reduced(self.p, base, [x * (c.unit or 0) for x in self.ints], abss)
+        bound = self.weierstrass_bound if c.unit else None
+        return _series(self.p, base, ints, abss, bound)
 
     def scale_int(self, k: int) -> "PadicSeries":
-        keep = k != 0
-        return PadicSeries(
-            self.p,
-            [x.scale_int(k) for x in self.coeffs],
-            self.weierstrass_bound if keep else None,
-        )
+        """k f for an exact integer k; no precision is spent."""
+        p, n = self.p, len(self.ints)
+        if k == 0:
+            return _series(p, self.base, [0] * n, [_INF] * n)
+        t = v_p(k, p)
+        base = self.base + t
+        abss = [a + t for a in self.abss]
+        ints = _reduced(p, base, [x * (k // p**t) for x in self.ints], abss)
+        return _series(p, base, ints, abss, self.weierstrass_bound)
 
     # -- calculus ----------------------------------------------------------
 
     def derivative(self) -> "PadicSeries":
-        if len(self.coeffs) == 1:
-            return PadicSeries(self.p, [PadicNumber.zero(self.p)])
-        out = [
-            self.coeffs[i].scale_int(i) for i in range(1, len(self.coeffs))
-        ]
-        return PadicSeries(self.p, out)
+        p, base = self.p, self.base
+        # a constant's derivative is the exact zero
+        abss = [a + v_p(i, p) for i, a in enumerate(self.abss[1:], 1)] or [_INF]
+        ints = [x * i for i, x in enumerate(self.ints[1:], 1)] or [0]
+        return _series(p, base, _reduced(p, base, ints, abss), abss)
 
     def antiderivative(self) -> "PadicSeries":
         """Termwise antiderivative with zero constant term.
 
-        The division by i+1 moves valuations down by v_p(i+1); relative
-        precision of unit coefficients is preserved, absolute precision is
-        spent -- exactly the cost the caller has to budget for.
+        The division by k = u p^t (u a unit) moves valuations down by t;
+        relative precision of unit coefficients is preserved, absolute
+        precision is spent -- exactly the cost the caller has to budget for.
+        The base drops by the largest t, so every quotient is an integer.
         """
-        out = [PadicNumber.zero(self.p)]
-        out.extend(c.div_int(i + 1) for i, c in enumerate(self.coeffs))
-        return PadicSeries(self.p, out)
+        p, base = self.p, self.base
+        top = max(v_p(k, p) for k in range(1, len(self.ints) + 1))
+        ints, abss = [0], [_INF]
+        for k, (x, a) in enumerate(zip(self.ints, self.abss), 1):
+            t = v_p(k, p)
+            abss.append(a - t)
+            if x:
+                mod = p ** (a - base)
+                x = x * pow(k // p**t, -1, mod) % mod * p ** (top - t)
+            ints.append(x)
+        return _series(p, base - top, ints, abss)
 
     # -- substitution ------------------------------------------------------
 
@@ -519,64 +494,72 @@ class PadicSeries:
         """
         if c == 0:
             return self
-        p = self.p
-        n = len(self.coeffs)
-        base, ints, _, abss = _integers(p, self.coeffs)
+        p, base, ints, n = self.p, self.base, list(self.ints), len(self.ints)
         for i in range(n - 1):
             acc = ints[-1]
             for k in range(n - 2, i - 1, -1):
                 acc = ints[k] = ints[k] + c * acc
         t = v_p(c, p)
-        spent = [a + m * t for m, a in enumerate(abss)]
-        out = []
-        for j, row in enumerate(_binomial_valuations(p, n)):
-            abs_prec = min(map(add, spent[j:], row)) - j * t
-            out.append(_normalize(p, base, ints[j], abs_prec))
-        return PadicSeries(p, out, self.weierstrass_bound)
+        spent = [a + m * t for m, a in enumerate(self.abss)]
+        abss = [
+            min(map(add, spent[j:], row)) - j * t
+            for j, row in enumerate(_binomial_valuations(p, n))
+        ]
+        ints = _reduced(p, base, ints, abss)
+        return _series(p, base, ints, abss, self.weierstrass_bound)
 
     def rescale_p(self) -> "PadicSeries":
         """The series of z -> f(p z): coefficient i gains valuation i."""
-        out = [c.shift_val(i) for i, c in enumerate(self.coeffs)]
-        return PadicSeries(self.p, out, self.weierstrass_bound)
-
-    def evaluate(self, x: Union[int, PadicNumber]) -> PadicNumber:
-        """f(x).  At an integer x the value is known to the least
-        abs(c_i) + i v_p(x) over the live c_i (f(0) is c_0 itself)."""
         p = self.p
-        if isinstance(x, int):
-            if x == 0:
-                return self.coeffs[0]
-            base, ints, _, abss = _integers(p, self.coeffs)
-            t = v_p(x, p)
-            abs_prec = min(a + i * t for i, a in enumerate(abss))
-            total = 0
-            for a in reversed(ints):
-                total = total * x + a
-            return _normalize(p, base, total, abs_prec)
-        if x.p != p:
-            raise PrimeMismatchError("evaluation point over a different prime")
-        acc = PadicNumber.zero(p)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        ints = [x * p**i for i, x in enumerate(self.ints)]
+        abss = [a + i for i, a in enumerate(self.abss)]
+        return _series(p, self.base, ints, abss, self.weierstrass_bound)
+
+    def evaluate(self, x: int) -> PadicNumber:
+        """f(x) at an integer x, known to the least abs(c_i) + i v_p(x) over
+        the live c_i (f(0) is c_0 itself)."""
+        if not isinstance(x, int):
+            raise DomainError(f"evaluation point must be an integer, got {x!r}")
+        if x == 0:
+            return self.coeff(0)
+        t = v_p(x, self.p)
+        abs_prec = min(a + i * t for i, a in enumerate(self.abss))
+        total = 0
+        for a in reversed(self.ints):
+            total = total * x + a
+        return _normalize(self.p, self.base, total, abs_prec)
 
     # -- comparisons -------------------------------------------------------
 
     def agrees_with(self, other: "PadicSeries") -> bool:
-        self._require_same_prime(other)
-        n = min(len(self.coeffs), len(other.coeffs))
-        return all(self.coeffs[i].agrees_with(other.coeffs[i]) for i in range(n))
+        """True when every shared coefficient coincides to the joint tracked
+        precision."""
+        _require_same_prime(self, other)
+        p, base = self.p, min(self.base, other.base)
+        sa, sb = p ** (self.base - base), p ** (other.base - base)
+        for x, a, y, b in zip(self.ints, self.abss, other.ints, other.abss):
+            k = min(a, b)
+            if base < k < _INF and (x * sa - y * sb) % p ** (k - base):
+                return False
+        return True
 
     def indistinguishable_from_zero(self) -> bool:
-        return all(c.unit is None for c in self.coeffs)
+        return not any(self.ints)
 
     def __repr__(self) -> str:
-        inside = ", ".join(repr(c) for c in self.coeffs[:4])
-        more = ", ..." if len(self.coeffs) > 4 else ""
+        inside = ", ".join(repr(self.coeff(i)) for i in range(min(4, len(self.ints))))
+        more = ", ..." if len(self.ints) > 4 else ""
         return (
             f"PadicSeries(p={self.p}, deg<={self.trunc_degree}, "
             f"coeffs=[{inside}{more}])"
         )
+
+
+def _series(p: int, base: int, ints: list, abss: list, bound=None) -> PadicSeries:
+    """The series stored so; ``ints`` reduced, lists kept and never changed."""
+    out = object.__new__(PadicSeries)
+    out._store(p, base, ints, abss, bound)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -653,9 +636,12 @@ def newton_polygon(f: PadicSeries) -> NewtonPolygon:
             "series carries no weierstrass bound; root location needs the "
             "caller's analytic guarantee"
         )
-    scope = f.coeffs[: f.weierstrass_bound + 1]
-    points = [(i, c.val) for i, c in enumerate(scope) if c.unit is not None]
-    unknowns = [(i, c.val) for i, c in enumerate(scope) if c.is_unknown_zero()]
+    points, unknowns = [], []
+    for i, (x, v) in enumerate(zip(f.ints, f.vals()[: f.weierstrass_bound + 1])):
+        if x:
+            points.append((i, v))
+        elif v < _INF:
+            unknowns.append((i, v))
     if not points:
         raise AllZeroPolygonError(
             "all coefficients in scope are indistinguishable from zero"
@@ -800,8 +786,7 @@ def isolate_zeros(
     raises, with certified disks and per-class diagnostics attached to the
     error.
     """
-    if depth_cap < 1:
-        raise DomainError(f"depth_cap must be >= 1, got {depth_cap}")
+    check_int(depth_cap, "depth_cap", 1)
     disks, failures = _isolate_classes(f, chart_id, depth_cap)
     if failures:
         if any(
@@ -875,6 +860,8 @@ def separation_modulus(
     status degrades to the worst per-class diagnosis; M is only meaningful
     when the status is SEPARATED.
     """
+    check_int(depth_cap, "depth_cap", 1)
+    check_int(jobs, "jobs", 1)
     normalized = [_as_chart(c) for c in charts]
     tasks: list[tuple[str, PadicSeries]] = []
     seen = set()
@@ -905,15 +892,9 @@ def separation_modulus(
         all_disks.extend(found)
         all_failures.extend(failed)
 
-    status = SeparationStatus.SEPARATED
-    if any(
-        x.reason is SeparationStatus.PRECISION_EXHAUSTED for x in all_failures
-    ):
-        status = SeparationStatus.PRECISION_EXHAUSTED
-    if any(
-        x.reason is SeparationStatus.MULTIPLE_ROOT_SUSPECTED for x in all_failures
-    ):
-        status = SeparationStatus.MULTIPLE_ROOT_SUSPECTED
+    # the worst diagnosis wins; the statuses are declared best first
+    reasons = {x.reason for x in all_failures} | {SeparationStatus.SEPARATED}
+    status = max(reasons, key=list(SeparationStatus).index)
 
     modulus = max((d.depth for d in all_disks), default=1)
     return SeparationReport(

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from .arith import is_prime
-from .errors import DomainError, ParityError
+from .errors import DomainError, ParityError, check_int
 from .lie_dims import GradedDims, graded_dims, validate_genus
 
 
@@ -76,12 +76,10 @@ class CurveParams:
 
     def __post_init__(self):
         validate_genus(self.g)
-        if self.bad_prime_count < 0:
-            raise DomainError(f"|S| must be >= 0, got {self.bad_prime_count}")
-        if not is_prime(self.p):
+        check_int(self.bad_prime_count, "|S|", 0)
+        if not is_prime(check_int(self.p, "p", 2)):
             raise DomainError(f"p={self.p} is not prime")
-        if self.mw_rank < 0:
-            raise DomainError(f"Mordell-Weil rank must be >= 0, got {self.mw_rank}")
+        check_int(self.mw_rank, "Mordell-Weil rank", 0)
         if self.bad_primes is not None:
             object.__setattr__(self, "bad_primes", frozenset(self.bad_primes))
             if len(self.bad_primes) != self.bad_prime_count:

@@ -15,10 +15,11 @@ mathematics or brute force than the library under test:
   sequences and walking the alternation schedule by hand.
 * Primality is checked against published lists of the composites that
   fool each half of the test.
-* The series kernels (Taylor shift, evaluation at an integer, product),
-  which run on plain integers, are checked against loops that chain one
-  ``PadicNumber`` operation per term, so that every intermediate sum is
-  rounded by the scalar arithmetic.
+* Every series operation (sum, scalar and integer multiples, derivative,
+  antiderivative, p-rescale, Taylor shift, evaluation at an integer,
+  product), which runs on the stored coefficient integers, is checked
+  against a loop that chains one ``PadicNumber`` operation per term, so
+  that every intermediate result is rounded by the scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -343,6 +344,43 @@ def sieve_primes(limit: int) -> List[int]:
 # ---------------------------------------------------------------------------
 # Series kernels as PadicNumber loops
 # ---------------------------------------------------------------------------
+
+
+def series_add_by_objects(f, g):
+    """Coefficients of f + g: one + per pair of terms."""
+    return [a + b for a, b in zip(f.coeffs, g.coeffs)]
+
+
+def scale_by_objects(f, c: PadicNumber):
+    """Coefficients of c f: one * per term."""
+    return [x * c for x in f.coeffs]
+
+
+def scale_int_by_objects(f, k: int):
+    """Coefficients of k f: one scale_int per term."""
+    return [x.scale_int(k) for x in f.coeffs]
+
+
+def derivative_by_objects(f):
+    """Coefficients of f': c_i.scale_int(i) for i >= 1."""
+    if len(f.coeffs) == 1:
+        return [PadicNumber.zero(f.p)]
+    return [c.scale_int(i) for i, c in enumerate(f.coeffs) if i]
+
+
+def antiderivative_by_objects(f):
+    """Coefficients of the antiderivative: c_i times the number 1/(i + 1),
+    carried to at least c_i's own relative precision."""
+    out = [PadicNumber.zero(f.p)]
+    for i, c in enumerate(f.coeffs):
+        inverse = PadicNumber.from_fraction(f.p, Fraction(1, i + 1), max(c.prec, 1))
+        out.append(c * inverse)
+    return out
+
+
+def rescale_p_by_objects(f):
+    """Coefficients of f(p z): c_i.scale_int(p^i)."""
+    return [c.scale_int(f.p**i) for i, c in enumerate(f.coeffs)]
 
 
 def shift_center_by_objects(f, c: int):

@@ -548,6 +548,35 @@ class TestDigitLimit:
         assert (code, out) == (3, "")
         assert "PYTHONINTMAXSTRDIGITS" in err
 
+    @pytest.mark.parametrize("style", ["json", "plain"])
+    def test_unprintable_annihilator_is_refused_before_it_is_computed(
+        self, monkeypatch, style
+    ):
+        def refuse(*args):
+            raise AssertionError("N was computed")
+
+        monkeypatch.setattr(cli, "jacobian_order_mod", refuse)
+        code, out, err = invoke_cli(
+            ["order", "--p", "5", "--g", "2", "--count-fp", "30",
+             "--modulus-exponent", str(10**9), "--output", style]
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: an output integer has more decimal digits")
+        assert "PYTHONINTMAXSTRDIGITS" in err
+
+    def test_lifted_limit_refuses_no_annihilator(self, monkeypatch):
+        monkeypatch.setattr(cli, "jacobian_order_mod", lambda data, m: 7)
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, out, _ = invoke_cli(
+                ["order", "--p", "5", "--g", "2", "--count-fp", "30",
+                 "--modulus-exponent", str(10**9), "--output", "plain"]
+            )
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert code == 0 and out.startswith("N = 7")
+
     def test_long_decimal_string_names_its_path(self, tmp_path):
         path = write_json(
             tmp_path, "long.json",

@@ -183,10 +183,8 @@ class TestIteratedIntegral:
             system = int_forms(p, rows, prec=30)
             for word in [(1,), (2,), (1, 2), (2, 2), (1, 1, 2)]:
                 series = iterated_integral(system, word)
-                for m, c in enumerate(series.coeffs):
-                    floor = c.valuation_floor()
-                    if floor is not None:
-                        assert floor >= -factorial_valuation(m, p)
+                for m, floor in enumerate(series.vals()):
+                    assert floor >= -factorial_valuation(m, p)
 
     def test_word_validation(self):
         system = const_one_system()

@@ -21,7 +21,7 @@ class TestConstruction:
         x = PadicNumber.from_int(5, 0)
         assert x.is_exact_zero()
         assert x.abs_prec() is None
-        assert x.valuation_floor() is None
+        assert x.val is None
 
     def test_from_int_strips_valuation(self):
         x = PadicNumber.from_int(5, 150)
@@ -36,7 +36,7 @@ class TestConstruction:
         x = PadicNumber.zero_to(5, 3)
         assert x.is_unknown_zero()
         assert x.abs_prec() == 3
-        assert x.valuation_floor() == 3
+        assert x.val == 3
 
     def test_unit_form_normalizes_mod_p_prec(self):
         x = PadicNumber(5, 0, 7 + 25, 2)
@@ -126,17 +126,6 @@ class TestMultiplication:
         assert (x.scale_int(25).val, x.scale_int(25).prec) == (2, 3)
         assert x.scale_int(0).is_exact_zero()
         assert (3 * x).agrees_with(x + x + x)
-
-    def test_div_int(self):
-        assert N(10).div_int(2).agrees_with(N(5))
-        assert N(10).div_int(5).agrees_with(N(2))
-        assert PadicNumber.zero_to(5, 3).div_int(5).abs_prec() == 2
-        with pytest.raises(DomainError):
-            N(1).div_int(0)
-
-    def test_shift_val(self):
-        x = N(2).shift_val(3)
-        assert x.val == 3 and x.agrees_with(N(250))
 
 
 class TestAgreement:

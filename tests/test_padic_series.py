@@ -91,10 +91,9 @@ class TestSeriesArithmetic:
             want = 3 - 2 * x + x**3
             assert f.evaluate(x).agrees_with(PadicNumber.from_int(5, want))
 
-    def test_evaluate_at_padic_point(self):
-        f = S([3, -2, 0, 1])
-        x = PadicNumber.from_int(5, 7, prec=8)
-        assert f.evaluate(x).agrees_with(PadicNumber.from_int(5, 3 - 14 + 343))
+    def test_evaluate_refuses_a_padic_point(self):
+        with pytest.raises(DomainError):
+            S([3, -2, 0, 1]).evaluate(PadicNumber.from_int(5, 7, prec=8))
 
     def test_shift_center_is_substitution(self):
         f = S([1, 4, -3, 2])
@@ -108,6 +107,13 @@ class TestSeriesArithmetic:
         for x in (0, 1, 3):
             assert g.evaluate(x).agrees_with(f.evaluate(5 * x))
 
+    def test_rescale_p_shifts_valuations(self):
+        top = S([0, 0, 0, 2]).rescale_p().coeff(3)
+        assert top.val == 3 and top.agrees_with(PadicNumber.from_int(5, 250))
+        zero, unknown = PadicNumber.zero(5), PadicNumber.zero_to(5, 2)
+        g = PadicSeries(5, [zero, unknown]).rescale_p()
+        assert g.coeff(0).is_exact_zero() and g.coeff(1).abs_prec() == 3
+
     def test_derivative_antiderivative(self):
         f = S([2, 6, 12])  # 2 + 6z + 12z^2
         assert f.derivative().agrees_with(S([6, 24]))
@@ -115,6 +121,16 @@ class TestSeriesArithmetic:
         assert back.coeff(0).is_exact_zero()
         assert back.coeff(1).agrees_with(f.coeff(1))
         assert back.coeff(2).agrees_with(f.coeff(2))
+
+    def test_antiderivative_divides_each_coefficient(self):
+        # coefficient i is divided by i + 1: 10 / 2, 10 / 5, O(5^3) / 5
+        anti = S([0, 10, 0, 0, 10]).antiderivative()
+        assert anti.coeff(2).agrees_with(PadicNumber.from_int(5, 5))
+        assert anti.coeff(5).agrees_with(PadicNumber.from_int(5, 2))
+        zero, unknown = PadicNumber.zero(5), PadicNumber.zero_to(5, 3)
+        anti = PadicSeries(5, [zero, zero, zero, zero, unknown]).antiderivative()
+        assert anti.coeff(5).abs_prec() == 2
+        assert anti.coeff(4).is_exact_zero()
 
     def test_antiderivative_spends_absolute_precision(self):
         f = PadicSeries(5, tuple(PadicNumber(5, 0, 1, 4) for _ in range(5)))
@@ -309,8 +325,9 @@ class TestIsolateZeros:
         assert [(d.center_digits, d.depth) for d in disks] == [((1,), 1)]
 
     def test_depth_cap_validation(self):
-        with pytest.raises(DomainError):
-            isolate_zeros(S([0, 1]), depth_cap=0)
+        for cap in (0, -3, 2.5, True, "4"):
+            with pytest.raises(DomainError):
+                isolate_zeros(S([0, 1]), depth_cap=cap)
 
     def test_missing_bound_propagates_as_domain_error(self):
         f = S([0, -1, 1]).with_weierstrass_bound(None)
@@ -394,6 +411,15 @@ class TestSeparationModulus:
             ]
         )
         assert report.status is SeparationStatus.SEPARATED
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"depth_cap": 0}, {"depth_cap": 2.5}, {"depth_cap": True},
+         {"jobs": 0}, {"jobs": 1.0}, {"jobs": True}],
+    )
+    def test_depth_cap_and_jobs_must_be_counts(self, options):
+        with pytest.raises(DomainError):
+            separation_modulus([("c0", [S([0, -1, 1])])], **options)
 
     def test_threaded_run_is_identical(self):
         charts = [

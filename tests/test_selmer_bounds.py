@@ -254,6 +254,19 @@ class TestCurveParams:
         with pytest.raises(DomainError):
             CurveParams(g=2, bad_prime_count=1, p=5, mw_rank=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("mw_rank", True), ("mw_rank", 1.5), ("mw_rank", "1"),
+         ("bad_prime_count", -1), ("bad_prime_count", True),
+         ("bad_prime_count", 2.0), ("p", 5.0)],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        # a bool or float here once reached the table (and the serializer)
+        inputs = {"g": 2, "bad_prime_count": 0, "p": 5, "mw_rank": 0}
+        inputs[field] = value
+        with pytest.raises(DomainError):
+            CurveParams(**inputs)
+
     def test_bad_count_without_explicit_set_ok(self):
         cp = CurveParams(g=2, bad_prime_count=3, p=5, mw_rank=0)
         assert cp.bad_primes is None

@@ -1,18 +1,19 @@
-"""The integer series kernels against their PadicNumber loops, and soundness.
+"""The series operations against their PadicNumber loops, and soundness.
 
-``shift_center``, ``evaluate`` at an integer and ``PadicSeries.__mul__`` run
-on plain integers; ``tests/oracles.py`` keeps the loops that chain one
-``PadicNumber`` operation per term.  The two must agree on the valuation,
-unit and precision of every coefficient.  Soundness: for random balls, an
-exact rational inside each input ball must map into the output ball, for
-these kernels and for ``rescale_p``, ``antiderivative`` and the scalar
-operations.
+Every ``PadicSeries`` operation runs on the stored coefficient integers;
+``tests/oracles.py`` keeps the loops that chain one ``PadicNumber``
+operation per term.  The two must agree on the valuation, unit and
+precision of every coefficient, and the operation must run with
+``PadicNumber`` arithmetic patched to raise.  Soundness: for random balls,
+an exact rational inside each input ball must map into the output ball, for
+the series operations and for the scalar ones.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -110,39 +111,103 @@ def product(fx, gx):
     return [sum(fx[i] * gx[d - i] for i in range(d + 1)) for d in range(n)]
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("a series operation used PadicNumber arithmetic")
+
+
+def without_number_arithmetic(operation):
+    """The result of ``operation()`` run with PadicNumber arithmetic
+    patched to raise."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("__add__", "__mul__", "__rmul__", "scale_int"):
+            mp.setattr(PadicNumber, name, refuse)
+        return operation()
+
+
+def triples(coeffs):
+    return [(c.val, c.unit, c.prec) for c in coeffs]
+
+
+def assert_matches(operation, want):
+    """The series ``operation()`` builds, without PadicNumber arithmetic,
+    has the coefficients of the object loop ``want``, and its valuation and
+    precision views agree with them."""
+    got = without_number_arithmetic(operation)
+    assert triples(got.coeffs) == triples(want)
+    assert got.vals() == [math.inf if c.is_exact_zero() else c.val for c in want]
+    assert got.abs_precs() == [
+        math.inf if c.is_exact_zero() else c.abs_prec() for c in want
+    ]
+
+
 class TestKernelsMatchObjectLoops:
     @settings(max_examples=150, deadline=None)
     @given(case=shift_cases())
     def test_shift_center(self, case):
         _, f, _, c = case
-        assert list(f.shift_center(c).coeffs) == oracles.shift_center_by_objects(f, c)
+        assert_matches(lambda: f.shift_center(c), oracles.shift_center_by_objects(f, c))
 
     @settings(max_examples=150, deadline=None)
     @given(case=shift_cases())
     def test_evaluate_at_integer(self, case):
         _, f, _, x = case
-        assert f.evaluate(x) == oracles.evaluate_by_objects(f, x)
+        got = without_number_arithmetic(lambda: f.evaluate(x))
+        assert triples([got]) == triples([oracles.evaluate_by_objects(f, x)])
 
     @settings(max_examples=150, deadline=None)
     @given(case=product_cases())
     def test_product(self, case):
         _, f, _, g, _ = case
-        assert list((f * g).coeffs) == oracles.series_mul_by_objects(f, g)
+        assert_matches(lambda: f * g, oracles.series_mul_by_objects(f, g))
 
-    def test_kernels_build_no_intermediate_numbers(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a kernel used PadicNumber arithmetic")
+    @settings(max_examples=150, deadline=None)
+    @given(case=product_cases())
+    def test_sum(self, case):
+        _, f, _, g, _ = case
+        assert_matches(lambda: f + g, oracles.series_add_by_objects(f, g))
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), p=PRIMES)
+    def test_scale(self, data, p):
+        f, _ = data.draw(series_balls(p))
+        c, _ = data.draw(balls(p))
+        assert_matches(lambda: f.scale(c), oracles.scale_by_objects(f, c))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=shift_cases())
+    def test_scale_int(self, case):
+        _, f, _, k = case
+        assert_matches(lambda: f.scale_int(k), oracles.scale_int_by_objects(f, k))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), p=PRIMES)
+    def test_derivative(self, data, p):
+        f, _ = data.draw(series_balls(p))
+        assert_matches(f.derivative, oracles.derivative_by_objects(f))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), p=PRIMES)
+    def test_antiderivative(self, data, p):
+        f, _ = data.draw(series_balls(p, max_len=30))
+        assert_matches(f.antiderivative, oracles.antiderivative_by_objects(f))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), p=PRIMES)
+    def test_rescale_p(self, data, p):
+        f, _ = data.draw(series_balls(p))
+        assert_matches(f.rescale_p, oracles.rescale_p_by_objects(f))
+
+    def test_kernels_build_no_intermediate_numbers(self):
         f = PadicSeries.from_int_coeffs(5, [3, -10, 0, 25, 7, 1], 8)
         want = (
             oracles.shift_center_by_objects(f, -15),
-            oracles.evaluate_by_objects(f, 30),
+            [oracles.evaluate_by_objects(f, 30)],
             oracles.series_mul_by_objects(f, f),
         )
-        for name in ("__add__", "__mul__", "__rmul__", "scale_int"):
-            monkeypatch.setattr(PadicNumber, name, refuse)
-        got = (list(f.shift_center(-15).coeffs), f.evaluate(30), list((f * f).coeffs))
-        assert got == want
+        got = without_number_arithmetic(
+            lambda: (f.shift_center(-15).coeffs, [f.evaluate(30)], (f * f).coeffs)
+        )
+        assert list(map(triples, got)) == list(map(triples, want))
 
 
 class TestSoundness:
@@ -178,6 +243,26 @@ class TestSoundness:
         f, exact = data.draw(series_balls(p))
         want = [Fraction(0)] + [a / (i + 1) for i, a in enumerate(exact)]
         assert all(map(contains, f.antiderivative().coeffs, want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), p=PRIMES)
+    def test_derivative(self, data, p):
+        f, exact = data.draw(series_balls(p))
+        want = [i * a for i, a in enumerate(exact)][1:] or [Fraction(0)]
+        assert all(map(contains, f.derivative().coeffs, want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), p=PRIMES)
+    def test_scale(self, data, p):
+        f, exact = data.draw(series_balls(p))
+        c, y = data.draw(balls(p))
+        assert all(map(contains, f.scale(c).coeffs, [a * y for a in exact]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=product_cases())
+    def test_sum(self, case):
+        _, f, fx, g, gx = case
+        assert all(map(contains, (f + g).coeffs, map(add, fx, gx)))
 
     @pytest.mark.parametrize("op", ["+", "-", "*"])
     @settings(max_examples=100, deadline=None)
