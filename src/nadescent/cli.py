@@ -45,6 +45,7 @@ from .errors import (
     InvariantError,
     NadescentError,
     PrecisionError,
+    check_int,
 )
 from .iterated_words import FormSystem, evaluate_observable
 from .jsonio import (
@@ -199,7 +200,7 @@ def _cmd_halt(args) -> Tuple[int, Doc]:
 def _cmd_separate(args) -> Tuple[int, Doc]:
     doc_in = load_json_file(args.input)
     charts, _p = charts_from_json(doc_in)
-    report = separation_modulus(charts, depth_cap=args.depth_cap, jobs=args.jobs)
+    report = separation_modulus(charts, depth_cap=args.depth_cap)
     doc = separation_report_to_json(report)
     if report.status is not SeparationStatus.SEPARATED:
         return EXIT_SEPARATION_FAILURE, doc
@@ -320,7 +321,7 @@ def _cmd_report(args) -> Tuple[int, Doc]:
     charts, _p = charts_from_json(
         {"p": p, "prec": config.get("prec"), "charts": config["charts"]}
     )
-    report = separation_modulus(charts, depth_cap=depth_cap, jobs=args.jobs)
+    report = separation_modulus(charts, depth_cap=depth_cap)
     doc["separation"] = separation_report_to_json(report)
     if report.status is not SeparationStatus.SEPARATED:
         doc["status"] = "separation-failed"
@@ -433,7 +434,7 @@ def _genus(help: str) -> Flag:
 
 _P = _int("--p", required=True, help="good working prime")
 _INPUT = _flag("--input", required=True, metavar="FILE")
-_JOBS = _int("--jobs", default=1, help="worker threads")
+_JOBS = _int("--jobs", default=1, help="accepted; disks always run in order")
 _FACTOR_BUDGET = _int("--factor-budget", default=DEFAULT_FACTOR_BUDGET)
 _OUTPUT_FLAGS = (  # every command takes these
     _flag(
@@ -580,6 +581,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             dest = flag.options["dest"]
             if flag.integer and getattr(args, dest) is not None:
                 setattr(args, dest, parse_int(getattr(args, dest), flag.names[0]))
+        if _JOBS in command.flags:
+            check_int(args.jobs, "jobs", 1)
         code, doc = command.handler(args)
         text = _render(command, args.output, doc)
         if args.out:

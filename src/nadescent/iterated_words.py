@@ -141,24 +141,28 @@ class FormSystem:
 def _integral(
     system: FormSystem, word: Word, trunc: int, memo: Dict[Word, PadicSeries]
 ) -> PadicSeries:
-    got = memo.get(word)
-    if got is not None:
-        return got
-    if not word:
-        out = PadicSeries.constant(system.p, 1, trunc, system.working_prec)
-    else:
-        tail = _integral(system, word[1:], trunc, memo)
+    # start from the longest suffix in the memo, then build the longer ones
+    # shortest first: a_word[k:] = integral of f_word[k] * a_word[k+1:]
+    known = 0
+    while word[known:] not in memo:
+        if known == len(word):
+            memo[()] = PadicSeries.constant(system.p, 1, trunc, system.working_prec)
+            break
+        known += 1
+    out = memo[word[known:]]
+    for k in reversed(range(known)):
+        suffix = word[k:]
         # product coefficient d needs operand coefficients up to d only
-        form = system.forms[word[0] - 1].truncate(trunc - 1)
-        out = (form * tail.truncate(trunc - 1)).antiderivative()
-        for m, k in enumerate(out.abs_precs()):
-            if k <= 0 and out.coeff(m).is_unknown_zero():
+        form = system.forms[word[k] - 1].truncate(trunc - 1)
+        out = (form * out.truncate(trunc - 1)).antiderivative()
+        for m, prec in enumerate(out.abs_precs()):
+            if prec <= 0 and out.coeff(m).is_unknown_zero():
                 raise PrecisionExhaustedError(
-                    f"coefficient {m} of the integral for word {word} "
-                    f"degraded to O({system.p}^{k}); raise the working "
+                    f"coefficient {m} of the integral for word {suffix} "
+                    f"degraded to O({system.p}^{prec}); raise the working "
                     f"precision of the forms"
                 )
-    memo[word] = out
+        memo[suffix] = out
     return out
 
 

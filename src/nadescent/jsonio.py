@@ -8,8 +8,8 @@ Two rules keep the wire format trustworthy:
   through other tooling and some do not is worse than one uniform rule.
   Parsing accepts either form.
 * Output is canonical: keys sorted, two-space indent, trailing newline.
-  Identical inputs produce byte-identical reports, whatever thread count or
-  dict insertion order produced them.
+  Identical inputs produce byte-identical reports, whatever dict insertion
+  order produced them.
 
 Floats are rejected outright -- nothing in this package is approximate in
 the floating-point sense, so a float in a document is always a mistake.

@@ -3,9 +3,9 @@
 The central objects are :class:`PadicNumber` (a p-adic number tracked to a
 finite number of significant digits) and :class:`PadicSeries` (a truncated
 power series with such coefficients).  On top of them sit the Newton-polygon
-root counts and the recursive residue-disk subdivision that isolates the
-zeros of a series on Z_p to some finite depth M -- the separation modulus
-consumed downstream.
+root counts and the residue-disk subdivision that isolates the zeros of a
+series on Z_p to some finite depth M -- the separation modulus consumed
+downstream.
 
 Precision model
 ---------------
@@ -42,7 +42,6 @@ at most every certified valuation floor at or below d*.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -718,6 +717,18 @@ class IsolationFailure:
     residual_count: Optional[int]
 
 
+def _newton_certified(f: PadicSeries, f_deriv: PadicSeries, center: int) -> bool:
+    # v(f(c)) > 2 v(f'(c)) pins a unique simple root next to c; combined with
+    # the polygon count of 1 this certifies the class.
+    b = f_deriv.evaluate(center)
+    if b.unit is None:
+        return False
+    a = f.evaluate(center)
+    if a.is_exact_zero():
+        return True
+    return a.val > 2 * b.val
+
+
 def _isolate_classes(
     f: PadicSeries, chart_id: str, depth_cap: int
 ) -> tuple[list[ZeroDisk], list[IsolationFailure]]:
@@ -725,52 +736,39 @@ def _isolate_classes(
     f_deriv = f.derivative()
     disks: list[ZeroDisk] = []
     failures: list[IsolationFailure] = []
-
-    def newton_certified(center: int) -> bool:
-        # v(f(c)) > 2 v(f'(c)) pins a unique simple root next to c; combined
-        # with the polygon count of 1 this certifies the class.
-        b = f_deriv.evaluate(center)
-        if b.unit is None:
-            return False
-        a = f.evaluate(center)
-        if a.is_exact_zero():
-            return True
-        return a.val > 2 * b.val
-
-    def walk(digits: tuple[int, ...], center: int, series: PadicSeries) -> None:
-        for c in range(p):
-            shifted = series.shift_center(c)
-            child = digits + (c,)
-            child_center = center + c * p ** len(digits)
-            depth = len(child)
-            try:
-                count = root_count_positive_valuation(shifted)
-            except (AllZeroPolygonError, HullPrecisionError):
-                failures.append(
-                    IsolationFailure(
-                        chart_id, child, depth,
-                        SeparationStatus.PRECISION_EXHAUSTED, None,
-                    )
+    # pending classes (parent digits, parent center, parent series, residue),
+    # pushed last residue first so that they pop depth-first in digit order
+    stack = [((), 0, f, c) for c in reversed(range(p))]
+    while stack:
+        digits, center, series, c = stack.pop()
+        shifted = series.shift_center(c)
+        child = digits + (c,)
+        child_center = center + c * p ** len(digits)
+        depth = len(child)
+        try:
+            count = root_count_positive_valuation(shifted)
+        except (AllZeroPolygonError, HullPrecisionError):
+            failures.append(
+                IsolationFailure(
+                    chart_id, child, depth, SeparationStatus.PRECISION_EXHAUSTED, None
                 )
-                continue
-            if count == 0:
-                continue
-            if count == 1 and newton_certified(child_center):
-                disks.append(ZeroDisk(chart_id, child, depth, 1, False))
-                continue
-            if depth >= depth_cap:
-                reason = (
-                    SeparationStatus.MULTIPLE_ROOT_SUSPECTED
-                    if count >= 2
-                    else SeparationStatus.PRECISION_EXHAUSTED
-                )
-                failures.append(
-                    IsolationFailure(chart_id, child, depth, reason, count)
-                )
-                continue
-            walk(child, child_center, shifted.rescale_p())
-
-    walk((), 0, f)
+            )
+            continue
+        if count == 0:
+            continue
+        if count == 1 and _newton_certified(f, f_deriv, child_center):
+            disks.append(ZeroDisk(chart_id, child, depth, 1, False))
+            continue
+        if depth >= depth_cap:
+            reason = (
+                SeparationStatus.MULTIPLE_ROOT_SUSPECTED
+                if count >= 2
+                else SeparationStatus.PRECISION_EXHAUSTED
+            )
+            failures.append(IsolationFailure(chart_id, child, depth, reason, count))
+            continue
+        refined = shifted.rescale_p()
+        stack.extend((child, child_center, refined, d) for d in reversed(range(p)))
     return disks, failures
 
 
@@ -846,22 +844,17 @@ def _as_chart(obj) -> Chart:
     return Chart(chart_id=str(chart_id), disks=tuple(disks))
 
 
-def separation_modulus(
-    charts: Iterable, depth_cap: int = 12, jobs: int = 1
-) -> SeparationReport:
+def separation_modulus(charts: Iterable, depth_cap: int = 12) -> SeparationReport:
     """Isolate zeros across every disk of every chart and aggregate.
 
     ``charts`` may hold Chart objects or plain (chart_id, [series, ...])
-    pairs.  Disks are processed in order of chart id, then disk position;
-    ``jobs > 1`` fans the per-disk work across a thread pool but the
-    assembled report is byte-identical regardless.
+    pairs.  Disks are processed in order of chart id, then disk position.
 
     The returned modulus M is the maximum emitted depth (at least 1).  The
     status degrades to the worst per-class diagnosis; M is only meaningful
     when the status is SEPARATED.
     """
     check_int(depth_cap, "depth_cap", 1)
-    check_int(jobs, "jobs", 1)
     normalized = [_as_chart(c) for c in charts]
     tasks: list[tuple[str, PadicSeries]] = []
     seen = set()
@@ -873,24 +866,15 @@ def separation_modulus(
             seen.add(composite)
             tasks.append((composite, disk.series))
 
-    def run(task: tuple[str, PadicSeries]):
-        composite, series = task
-        try:
-            return isolate_zeros(series, chart_id=composite, depth_cap=depth_cap), ()
-        except IsolationError as exc:
-            return list(exc.disks), tuple(exc.failures)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-
     all_disks: list[ZeroDisk] = []
     all_failures: list[IsolationFailure] = []
-    for found, failed in results:
+    for composite, series in tasks:
+        try:
+            found = isolate_zeros(series, chart_id=composite, depth_cap=depth_cap)
+        except IsolationError as exc:
+            found = exc.disks
+            all_failures.extend(exc.failures)
         all_disks.extend(found)
-        all_failures.extend(failed)
 
     # the worst diagnosis wins; the statuses are declared best first
     reasons = {x.reason for x in all_failures} | {SeparationStatus.SEPARATED}

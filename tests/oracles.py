@@ -20,6 +20,8 @@ mathematics or brute force than the library under test:
   product), which runs on the stored coefficient integers, is checked
   against a loop that chains one ``PadicNumber`` operation per term, so
   that every intermediate result is rounded by the scalar arithmetic.
+* The residue-class walk of zero isolation is checked against a plain
+  recursion, one call per depth level, in place of the explicit stack.
 """
 
 from __future__ import annotations
@@ -31,7 +33,14 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from nadescent.padic_series import PadicNumber
+from nadescent.errors import AllZeroPolygonError, HullPrecisionError
+from nadescent.padic_series import (
+    IsolationFailure,
+    PadicNumber,
+    SeparationStatus,
+    ZeroDisk,
+    root_count_positive_valuation,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +424,66 @@ def series_mul_by_objects(f, g):
             acc = acc + f.coeffs[i] * g.coeffs[d - i]
         out.append(acc)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Zero isolation by recursion
+# ---------------------------------------------------------------------------
+
+
+def isolate_classes_by_recursion(f, chart_id: str, depth_cap: int):
+    """(disks, failures) of the residue-class walk, one recursive call per
+    depth level: each class c is shifted to the origin and counted, then
+    dropped, emitted, refused at the cap, or rescaled and walked."""
+    p = f.p
+    f_deriv = f.derivative()
+    disks: List[ZeroDisk] = []
+    failures: List[IsolationFailure] = []
+
+    def newton_certified(center: int) -> bool:
+        b = f_deriv.evaluate(center)
+        if b.unit is None:
+            return False
+        a = f.evaluate(center)
+        if a.is_exact_zero():
+            return True
+        return a.val > 2 * b.val
+
+    def walk(digits: Tuple[int, ...], center: int, series) -> None:
+        for c in range(p):
+            shifted = series.shift_center(c)
+            child = digits + (c,)
+            child_center = center + c * p ** len(digits)
+            depth = len(child)
+            try:
+                count = root_count_positive_valuation(shifted)
+            except (AllZeroPolygonError, HullPrecisionError):
+                failures.append(
+                    IsolationFailure(
+                        chart_id, child, depth,
+                        SeparationStatus.PRECISION_EXHAUSTED, None,
+                    )
+                )
+                continue
+            if count == 0:
+                continue
+            if count == 1 and newton_certified(child_center):
+                disks.append(ZeroDisk(chart_id, child, depth, 1, False))
+                continue
+            if depth >= depth_cap:
+                reason = (
+                    SeparationStatus.MULTIPLE_ROOT_SUSPECTED
+                    if count >= 2
+                    else SeparationStatus.PRECISION_EXHAUSTED
+                )
+                failures.append(
+                    IsolationFailure(chart_id, child, depth, reason, count)
+                )
+                continue
+            walk(child, child_center, shifted.rescale_p())
+
+    walk((), 0, f)
+    return disks, failures
 
 
 # ---------------------------------------------------------------------------

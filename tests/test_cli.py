@@ -517,6 +517,18 @@ class TestIntegerFlags:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {flag}: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["separate", "--input", data_path("charts_simple.json")],
+            ["report", "--config", data_path("report_config.json")],
+        ],
+    )
+    def test_jobs_must_be_a_count(self, argv):
+        code, out, err = invoke_cli(argv + ["--jobs", "0"])
+        assert (code, out) == (2, "")
+        assert "jobs must be an integer >= 1" in err
+
 
 @pytest.fixture
 def low_digit_limit():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,31 @@ class TestIteratedIntegral:
         )
         with pytest.raises(PrecisionExhaustedError):
             iterated_integral(FormSystem((starved,)), (1,))
+
+    def test_precision_error_names_the_shortest_failing_suffix(self):
+        starved = PadicSeries(
+            2,
+            (
+                PadicNumber.from_int(2, 1, 5),
+                PadicNumber.zero_to(2, 1),
+                PadicNumber.zero(2),
+            ),
+        )
+        ok = const_one_system(p=2, trunc=2)
+        system = FormSystem(ok.forms + (starved,))
+        with pytest.raises(PrecisionExhaustedError, match=r"word \(2,\) "):
+            iterated_integral(system, (1, 2, 1, 2))
+
+    def test_long_word_needs_no_stack_frames(self):
+        system = int_forms(5, [[1, 0, 0, 0]])
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            series = iterated_integral(system, (1,) * 300)
+        finally:
+            sys.setrecursionlimit(saved)
+        assert series.trunc_degree == 3
+        assert all(c.is_exact_zero() for c in series.coeffs)
 
 
 class TestShuffleIdentity:

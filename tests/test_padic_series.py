@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nadescent import (
     DomainError,
@@ -21,7 +25,15 @@ from nadescent.errors import (
     PrecisionExhaustedError,
     PrimeMismatchError,
 )
-from nadescent.padic_series import Chart, DiskSeries, SeparationStatus, newton_polygon
+from nadescent.padic_series import (
+    Chart,
+    DiskSeries,
+    SeparationStatus,
+    _isolate_classes,
+    newton_polygon,
+)
+
+from .oracles import isolate_classes_by_recursion
 
 
 def S(ints, p=5, prec=20, wb="auto"):
@@ -413,20 +425,80 @@ class TestSeparationModulus:
         assert report.status is SeparationStatus.SEPARATED
 
     @pytest.mark.parametrize(
-        "options",
-        [{"depth_cap": 0}, {"depth_cap": 2.5}, {"depth_cap": True},
-         {"jobs": 0}, {"jobs": 1.0}, {"jobs": True}],
+        "options", [{"depth_cap": 0}, {"depth_cap": 2.5}, {"depth_cap": True}]
     )
     def test_depth_cap_and_jobs_must_be_counts(self, options):
         with pytest.raises(DomainError):
             separation_modulus([("c0", [S([0, -1, 1])])], **options)
 
-    def test_threaded_run_is_identical(self):
-        charts = [
-            ("c0", [S([0, -5, 1]), S([0, -1, 1])]),
-            ("c1", [S([-2, 1]), S([0, 5, -6, 1])]),
-            ("c2", [S([1])]),
-        ]
-        sequential = separation_modulus(charts, jobs=1)
-        threaded = separation_modulus(charts, jobs=4)
-        assert sequential == threaded
+    def test_deep_walk_needs_no_stack_frames(self):
+        # roots 0 and 2^300 agree in 300 binary digits
+        f = PadicSeries.from_int_coeffs(2, [0, -(2**300), 1], 400)
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            report = separation_modulus([("c0", [f])], depth_cap=400)
+        finally:
+            sys.setrecursionlimit(saved)
+        assert report.status is SeparationStatus.SEPARATED
+        assert report.modulus == 301
+        assert len(report.disks) == 2
+
+
+@st.composite
+def walk_cases(draw):
+    """A series with planted roots, some coefficients replaced by O(p^k) or
+    the exact zero, and a depth cap."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    roots = draw(
+        st.lists(
+            st.one_of(
+                st.integers(-(p**3), p**3),
+                st.integers(0, 3).map(lambda j: p**j),
+                st.integers(1, 4).map(lambda j: 1 + p**j),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    ints = [draw(st.sampled_from([1, -1, p, 2]))]
+    for r in roots:  # multiply by (z - r)
+        ints = [a - r * b for a, b in zip(ints + [0], [0] + ints)]
+    prec = draw(st.integers(2, 12))
+    coeffs = []
+    for n in ints:
+        kind = draw(st.sampled_from(["int", "int", "int", "ztp", "zero"]))
+        if kind == "ztp":
+            coeffs.append(PadicNumber.zero_to(p, draw(st.integers(0, 6))))
+        elif kind == "zero":
+            coeffs.append(PadicNumber.zero(p))
+        else:
+            coeffs.append(PadicNumber.from_int(p, n, prec))
+    f = PadicSeries(p, coeffs, len(coeffs) - 1)
+    return f, draw(st.integers(1, 8))
+
+
+class TestResidueWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(case=walk_cases())
+    def test_stack_walk_matches_the_recursion(self, case):
+        f, depth_cap = case
+        outcomes = []
+        for walk in (_isolate_classes, isolate_classes_by_recursion):
+            try:
+                outcomes.append(walk(f, "c0", depth_cap))
+            except DomainError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_separated_isolation_leaves_no_cycles(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            disks = isolate_zeros(S([0, -5, 1]))
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(disks) == 2

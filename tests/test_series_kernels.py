@@ -128,11 +128,23 @@ def triples(coeffs):
     return [(c.val, c.unit, c.prec) for c in coeffs]
 
 
+def assert_reduced(f: PadicSeries) -> None:
+    """The stored integers are reduced: ``0 <= ints[i] < p^(abss[i] - base)``,
+    and 0 where no digit at or above ``p^base`` is known or for the exact
+    zero."""
+    for x, a in zip(f.ints, f.abss):
+        if a <= f.base or a == math.inf:
+            assert x == 0
+        else:
+            assert 0 <= x < f.p ** (a - f.base)
+
+
 def assert_matches(operation, want):
     """The series ``operation()`` builds, without PadicNumber arithmetic,
-    has the coefficients of the object loop ``want``, and its valuation and
-    precision views agree with them."""
+    has reduced storage, the coefficients of the object loop ``want``, and
+    valuation and precision views that agree with them."""
     got = without_number_arithmetic(operation)
+    assert_reduced(got)
     assert triples(got.coeffs) == triples(want)
     assert got.vals() == [math.inf if c.is_exact_zero() else c.val for c in want]
     assert got.abs_precs() == [
