@@ -24,7 +24,8 @@ import re
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
-from .errors import DigitLimitError, DomainError, InvariantError
+from .arith import is_prime
+from .errors import DigitLimitError, DomainError, InvariantError, check_int
 from .iterated_words import Observable
 from .padic_series import (
     DEFAULT_PRECISION,
@@ -88,6 +89,22 @@ def _optional(doc: Any, key: str, default: Any = None) -> Any:
     if isinstance(doc, dict) and key in doc:
         return doc[key]
     return default
+
+
+def _prime(value: Any, path: str) -> int:
+    """A prime p: residue classes and Newton polygons need F_p to be a field."""
+    p = parse_int(value, path)
+    if not is_prime(p):
+        raise DomainError(f"{path}: {p} is not prime")
+    return p
+
+
+def _precision(doc: Any, path: str) -> int:
+    """The optional default relative precision ``prec``, at least 1."""
+    prec_raw = _optional(doc, "prec")
+    if prec_raw is None:
+        return DEFAULT_PRECISION
+    return check_int(parse_int(prec_raw, f"{path}.prec"), f"{path}.prec", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +202,8 @@ def charts_from_json(doc: Any, path: str = "$") -> Tuple[List[Chart], int]:
     if isinstance(doc, list):
         doc = {"charts": doc}
     top_p_raw = _optional(doc, "p")
-    top_p = parse_int(top_p_raw, f"{path}.p") if top_p_raw is not None else None
-    prec_raw = _optional(doc, "prec")
-    prec = (
-        parse_int(prec_raw, f"{path}.prec")
-        if prec_raw is not None
-        else DEFAULT_PRECISION
-    )
+    top_p = _prime(top_p_raw, f"{path}.p") if top_p_raw is not None else None
+    prec = _precision(doc, path)
     charts_raw = require(doc, "charts", path)
     if not isinstance(charts_raw, list) or not charts_raw:
         raise DomainError(f"{path}.charts: expected a nonempty array")
@@ -208,7 +220,7 @@ def charts_from_json(doc: Any, path: str = "$") -> Tuple[List[Chart], int]:
                 raise DomainError(f"{cpath}.p: missing required field")
             chart_p = p
         else:
-            chart_p = parse_int(chart_p_raw, f"{cpath}.p")
+            chart_p = _prime(chart_p_raw, f"{cpath}.p")
             if p is not None and chart_p != p:
                 raise DomainError(
                     f"{cpath}.p: {chart_p} disagrees with p={p} used elsewhere"
@@ -269,13 +281,8 @@ def separation_report_to_json(report: SeparationReport) -> Dict[str, Any]:
 def forms_from_json(doc: Any, path: str = "$") -> Tuple[List[PadicSeries], int, int]:
     """Returns (forms, p, prec).  Forms may be plain coefficient arrays or
     series objects."""
-    p = parse_int(require(doc, "p", path), f"{path}.p")
-    prec_raw = _optional(doc, "prec")
-    prec = (
-        parse_int(prec_raw, f"{path}.prec")
-        if prec_raw is not None
-        else DEFAULT_PRECISION
-    )
+    p = _prime(require(doc, "p", path), f"{path}.p")
+    prec = _precision(doc, path)
     forms_raw = require(doc, "forms", path)
     if not isinstance(forms_raw, list) or not forms_raw:
         raise DomainError(f"{path}.forms: expected a nonempty array")

@@ -27,6 +27,13 @@ Caruso, Roe & Vaccon, 2014); cancellation degrades a sum to ``O(p^k)``
 rather than guessing its valuation.  Every consumer of a polygon or a root
 count either receives a certified answer or an explicit precision error.
 
+Zero walk
+---------
+Zeros on Z_p are isolated by walking residue classes, each shifted to the
+origin and counted by its Newton polygon.  A class on which p^-v f (v the
+least valuation at or below the Weierstrass bound) reduces mod p to a
+nonzero constant holds no zero and is dropped without a shift.
+
 Weierstrass bound
 -----------------
 A truncated series cannot know, by itself, that its visible coefficients
@@ -729,6 +736,41 @@ def _newton_certified(f: PadicSeries, f_deriv: PadicSeries, center: int) -> bool
     return a.val > 2 * b.val
 
 
+def _live_residues(g: PadicSeries) -> Sequence[int]:
+    """The residues c whose class c + pZ_p may hold a zero of g.
+
+    Let v be the least valuation floor at or below the bound.  When every
+    coefficient is known past v, g(c + pz) = p^v gbar(c) mod p^(v+1) on the
+    whole class, where gbar = p^-v g mod p, so only the roots of gbar mod p
+    are live.  Coefficients beyond the bound have valuation above v (the
+    bound guarantees it for unit forms) but must be known past v too, since
+    the shift mixes them into the constant term.  Otherwise (no bound, an
+    exact-zero series, a least valuation held only by an ``O(p^k)``) every
+    residue is live.
+    """
+    p, bound = g.p, g.weierstrass_bound
+    if bound is None:
+        return range(p)
+    scope = g.ints[: bound + 1]
+    # t: the least unit valuation in scope, over base; an O(p^k) in scope
+    # with k <= base + t fails the precision test, so past it v = base + t
+    unit_gcd = math.gcd(*scope)
+    if not unit_gcd:
+        return range(p)
+    t = v_p(unit_gcd, p)
+    if min(g.abss) <= g.base + t:
+        return range(p)
+    scale = p**t
+    gbar = [x // scale % p for x in scope]
+    while not gbar[-1]:  # the unit of valuation v keeps a nonzero digit
+        gbar.pop()
+    # Horner's scheme mod p, at every residue at once
+    values = [gbar.pop()] * p
+    for x in reversed(gbar):
+        values = [(y * c + x) % p for c, y in enumerate(values)]
+    return [c for c, y in enumerate(values) if not y]
+
+
 def _isolate_classes(
     f: PadicSeries, chart_id: str, depth_cap: int
 ) -> tuple[list[ZeroDisk], list[IsolationFailure]]:
@@ -738,7 +780,7 @@ def _isolate_classes(
     failures: list[IsolationFailure] = []
     # pending classes (parent digits, parent center, parent series, residue),
     # pushed last residue first so that they pop depth-first in digit order
-    stack = [((), 0, f, c) for c in reversed(range(p))]
+    stack = [((), 0, f, c) for c in reversed(_live_residues(f))]
     while stack:
         digits, center, series, c = stack.pop()
         shifted = series.shift_center(c)
@@ -768,7 +810,10 @@ def _isolate_classes(
             failures.append(IsolationFailure(chart_id, child, depth, reason, count))
             continue
         refined = shifted.rescale_p()
-        stack.extend((child, child_center, refined, d) for d in reversed(range(p)))
+        stack.extend(
+            (child, child_center, refined, d)
+            for d in reversed(_live_residues(refined))
+        )
     return disks, failures
 
 
@@ -777,12 +822,13 @@ def isolate_zeros(
 ) -> list[ZeroDisk]:
     """Isolate the Z_p zeros of f into certified sub-disks.
 
-    Residue classes are explored depth-first in digit order.  A class whose
-    polygon count is 0 is dropped; a class counting exactly 1 is emitted as
-    soon as a Newton contraction certifies the (necessarily simple,
-    necessarily Q_p-rational) root; anything still ambiguous at ``depth_cap``
-    raises, with certified disks and per-class diagnostics attached to the
-    error.
+    Residue classes are explored depth-first in digit order.  A class on
+    which p^-v f reduces mod p to a nonzero constant is dropped without a
+    shift (see :func:`_live_residues`), and so is a class whose polygon
+    count is 0; a class counting exactly 1 is emitted as soon as a Newton
+    contraction certifies the (necessarily simple, necessarily
+    Q_p-rational) root; anything still ambiguous at ``depth_cap`` raises,
+    with certified disks and per-class diagnostics attached to the error.
     """
     check_int(depth_cap, "depth_cap", 1)
     disks, failures = _isolate_classes(f, chart_id, depth_cap)

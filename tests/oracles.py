@@ -21,7 +21,11 @@ mathematics or brute force than the library under test:
   against a loop that chains one ``PadicNumber`` operation per term, so
   that every intermediate result is rounded by the scalar arithmetic.
 * The residue-class walk of zero isolation is checked against a plain
-  recursion, one call per depth level, in place of the explicit stack.
+  recursion, one call per depth level, in place of the explicit stack,
+  that shifts every residue class.
+* A class the walk skips without a shift (its residue filter works mod p)
+  is checked to be rootless by ultrametric dominance of the constant term
+  of the class series, rebuilt one ``PadicNumber`` operation at a time.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from nadescent.errors import AllZeroPolygonError, HullPrecisionError
 from nadescent.padic_series import (
     IsolationFailure,
     PadicNumber,
+    PadicSeries,
     SeparationStatus,
     ZeroDisk,
     root_count_positive_valuation,
@@ -484,6 +489,24 @@ def isolate_classes_by_recursion(f, chart_id: str, depth_cap: int):
 
     walk((), 0, f)
     return disks, failures
+
+
+def class_has_no_root_by_objects(f, digits: Sequence[int]) -> bool:
+    """True when the class series of ``digits`` (the shift to the last
+    digit after a shift and p-rescale per earlier digit) has a unit-form
+    constant term of valuation v0 that dominates: every coefficient j >= 1
+    has valuation floor + j > v0, so no point of valuation >= 1 is a zero."""
+    series = f
+    for depth, c in enumerate(digits):
+        if depth:
+            series = PadicSeries(f.p, rescale_p_by_objects(series))
+        series = PadicSeries(f.p, shift_center_by_objects(series, c))
+    head, *rest = series.coeffs
+    if head.unit is None:
+        return False
+    return all(
+        c.is_exact_zero() or c.val + j > head.val for j, c in enumerate(rest, 1)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -696,3 +696,69 @@ class TestWeierstrassBound:
         code, out, err = invoke_cli(["integrate", "--input", path])
         assert (code, out) == (2, "")
         assert "$.weierstrass_bound" in err
+
+
+class TestInputPrimeAndPrecision:
+    """Residue classes and polygons need F_p to be a field, and every
+    coefficient at least one digit: the readers refuse a composite ``p``
+    and a ``prec`` below 1, naming the JSON path."""
+
+    DISK = {"coeffs": [0, -1, 1], "weierstrass_bound": 2}
+    FORMS = {"forms": [[1, 0, 0]], "observable": [{"word": [1], "coeff": 1}]}
+
+    @staticmethod
+    def refused(argv, path):
+        code, out, err = invoke_cli(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}")
+        return err
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"p": 4, "charts": [{"chart_id": "a", "disks": [DISK]}]}, "$.p"),
+            ({"charts": [{"chart_id": "a", "p": 6, "disks": [DISK]}]},
+             "$.charts[0].p"),
+            ({"p": 1, "charts": [{"chart_id": "a", "disks": [DISK]}]}, "$.p"),
+        ],
+    )
+    def test_separate_refuses_a_composite_p(self, tmp_path, doc, path):
+        err = self.refused(
+            ["separate", "--input", write_json(tmp_path, "charts.json", doc)], path
+        )
+        assert "is not prime" in err
+
+    def test_integrate_refuses_a_composite_p(self, tmp_path):
+        path = write_json(tmp_path, "forms.json", {"p": 6, **self.FORMS})
+        err = self.refused(["integrate", "--input", path], "$.p")
+        assert "6 is not prime" in err
+
+    def test_report_refuses_a_composite_p(self, tmp_path):
+        config = json.loads(
+            open(data_path("report_config.json"), encoding="utf-8").read()
+        )
+        config["curve"]["p"] = 4
+        code, out, _ = invoke_cli(
+            ["report", "--config", write_json(tmp_path, "report.json", config)]
+        )
+        assert (code, out) == (2, "")
+
+    def test_separate_names_prec(self, tmp_path):
+        doc = {"p": 5, "prec": 0, "charts": [{"chart_id": "a", "disks": [self.DISK]}]}
+        path = write_json(tmp_path, "charts.json", doc)
+        err = self.refused(["separate", "--input", path], "$.prec")
+        assert "$.prec must be an integer >= 1, got 0" in err
+
+    def test_integrate_names_prec(self, tmp_path):
+        path = write_json(tmp_path, "forms.json", {"p": 5, "prec": 0, **self.FORMS})
+        err = self.refused(["integrate", "--input", path], "$.prec")
+        assert "$.prec must be an integer >= 1, got 0" in err
+
+    def test_report_names_prec(self, tmp_path):
+        config = json.loads(
+            open(data_path("report_config.json"), encoding="utf-8").read()
+        )
+        config["prec"] = 0
+        path = write_json(tmp_path, "report.json", config)
+        err = self.refused(["report", "--config", path], "$.prec")
+        assert "$.prec must be an integer >= 1, got 0" in err

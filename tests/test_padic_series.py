@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nadescent import (
@@ -28,12 +28,13 @@ from nadescent.errors import (
 from nadescent.padic_series import (
     Chart,
     DiskSeries,
+    SeparationReport,
     SeparationStatus,
     _isolate_classes,
     newton_polygon,
 )
 
-from .oracles import isolate_classes_by_recursion
+from .oracles import class_has_no_root_by_objects, isolate_classes_by_recursion
 
 
 def S(ints, p=5, prec=20, wb="auto"):
@@ -342,13 +343,88 @@ class TestIsolateZeros:
                 isolate_zeros(S([0, 1]), depth_cap=cap)
 
     def test_missing_bound_propagates_as_domain_error(self):
-        f = S([0, -1, 1]).with_weierstrass_bound(None)
-        with pytest.raises(DomainError):
-            isolate_zeros(f)
+        # z^2 - 3 has no root mod 7, but without a bound nothing is certified
+        for f in (S([0, -1, 1]), S([-3, 0, 1], p=7)):
+            with pytest.raises(DomainError):
+                isolate_zeros(f.with_weierstrass_bound(None))
 
     def test_exact_evaluation_certifies_without_hensel_gap(self):
         disks = isolate_zeros(S([-2, 1]))  # root at the unit 2
         assert [(d.center_digits, d.depth) for d in disks] == [((2,), 1)]
+
+
+class TestResiduePrefilter:
+    """Only the classes where p^-v f mod p vanishes are shifted; every
+    other series falls back to all p classes."""
+
+    @pytest.fixture
+    def shifts(self, monkeypatch):
+        calls = []
+        shift_center = PadicSeries.shift_center
+
+        def counting(series, c):
+            calls.append(c)
+            return shift_center(series, c)
+
+        monkeypatch.setattr(PadicSeries, "shift_center", counting)
+        return calls
+
+    def test_only_the_root_classes_are_shifted(self, shifts):
+        disks = isolate_zeros(S([0, -1, 1], p=31))
+        assert [d.center_digits for d in disks] == [(0,), (1,)]
+        assert shifts == [0, 1]
+
+    def test_a_rootless_reduction_shifts_nothing(self, shifts):
+        # 3 is not a square mod 7
+        assert isolate_zeros(S([-3, 0, 1], p=7)) == []
+        assert shifts == []
+
+    def test_all_exact_zero_series_keeps_its_refusals(self):
+        f = PadicSeries(5, [PadicNumber.zero(5)] * 3, 2)
+        with pytest.raises(PrecisionExhaustedError) as exc:
+            isolate_zeros(f)
+        assert [(x.center_digits, x.reason) for x in exc.value.failures] == [
+            ((c,), SeparationStatus.PRECISION_EXHAUSTED) for c in range(5)
+        ]
+
+    def test_a_coefficient_unknown_mod_p_keeps_the_refusals(self):
+        # 1 + O(5^0) z + 5 z^2: the linear coefficient is not known mod 5
+        coeffs = (
+            PadicNumber.from_int(5, 1),
+            PadicNumber.zero_to(5, 0),
+            PadicNumber.from_int(5, 5),
+        )
+        with pytest.raises(PrecisionExhaustedError) as exc:
+            isolate_zeros(PadicSeries(5, coeffs, 2))
+        assert [
+            (x.center_digits, x.reason, x.residual_count)
+            for x in exc.value.failures
+        ] == [((c,), SeparationStatus.PRECISION_EXHAUSTED, None) for c in range(5)]
+
+    def test_an_unknown_coefficient_beyond_the_bound_keeps_the_refusals(self):
+        # 1 + z + O(5^0) z^2 with bound 1: the shift by c mixes the unknown
+        # O(5^0) c^2 into the constant term, so 1 + c mod 5 decides nothing
+        coeffs = (
+            PadicNumber.from_int(5, 1),
+            PadicNumber.from_int(5, 1),
+            PadicNumber.zero_to(5, 0),
+        )
+        with pytest.raises(PrecisionExhaustedError) as exc:
+            isolate_zeros(PadicSeries(5, coeffs, 1))
+        assert [x.center_digits for x in exc.value.failures] == [
+            (1,), (2,), (3,), (4,)
+        ]
+
+    def test_a_needless_refusal_becomes_a_certified_answer(self):
+        # 1 + O(5) z + 5^10 z^2 is 1 mod 5, so it has no zero on Z_5; the
+        # polygon alone refuses every class, its hull passing above O(5)
+        coeffs = (
+            PadicNumber.from_int(5, 1),
+            PadicNumber.zero_to(5, 1),
+            PadicNumber.from_int(5, 5**10),
+        )
+        report = separation_modulus([("c", [PadicSeries(5, coeffs, 2)])])
+        assert report == SeparationReport((), 1, SeparationStatus.SEPARATED, ())
 
 
 class TestSeparationModulus:
@@ -448,8 +524,9 @@ class TestSeparationModulus:
 @st.composite
 def walk_cases(draw):
     """A series with planted roots, some coefficients replaced by O(p^k) or
-    the exact zero, and a depth cap."""
-    p = draw(st.sampled_from([2, 3, 5, 7]))
+    the exact zero, a Weierstrass bound its coefficients do not refute, and
+    a depth cap."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
     roots = draw(
         st.lists(
             st.one_of(
@@ -474,22 +551,38 @@ def walk_cases(draw):
             coeffs.append(PadicNumber.zero(p))
         else:
             coeffs.append(PadicNumber.from_int(p, n, prec))
-    f = PadicSeries(p, coeffs, len(coeffs) - 1)
+    bound = draw(st.integers(0, len(coeffs) - 1))
+    try:
+        f = PadicSeries(p, coeffs, bound)
+    except DomainError:
+        assume(False)
     return f, draw(st.integers(1, 8))
+
+
+def is_sublist(short, long) -> bool:
+    """True when ``short`` is ``long`` with some items left out, in order."""
+    rest = iter(long)
+    return all(any(x == y for y in rest) for x in short)
 
 
 class TestResidueWalk:
     @settings(max_examples=200, deadline=None)
     @given(case=walk_cases())
     def test_stack_walk_matches_the_recursion(self, case):
+        # The walk skips the classes its residue filter proves rootless, so
+        # it may drop refusals the recursion makes; it must keep every disk
+        # and every other failure, in order.
         f, depth_cap = case
-        outcomes = []
-        for walk in (_isolate_classes, isolate_classes_by_recursion):
-            try:
-                outcomes.append(walk(f, "c0", depth_cap))
-            except DomainError as exc:
-                outcomes.append((type(exc), str(exc)))
-        assert outcomes[0] == outcomes[1]
+        disks, failures = _isolate_classes(f, "c0", depth_cap)
+        want_disks, want_failures = isolate_classes_by_recursion(f, "c0", depth_cap)
+        assert disks == want_disks
+        assert is_sublist(failures, want_failures)
+        for x in set(want_failures) - set(failures):
+            assert (x.reason, x.residual_count) == (
+                SeparationStatus.PRECISION_EXHAUSTED,
+                None,
+            )
+            assert class_has_no_root_by_objects(f, x.center_digits)
 
     def test_separated_isolation_leaves_no_cycles(self):
         enabled = gc.isenabled()
