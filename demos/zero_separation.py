@@ -36,9 +36,8 @@ def main() -> None:
     for label, f in (("f", split), ("g", close)):
         disks = isolate_zeros(f, chart_id=label)
         for d in disks:
-            center = sum(dig * P**j for j, dig in enumerate(d.center_digits))
             print(
-                f"{label}: certified disk center={center} mod {P}^{d.depth} "
+                f"{label}: certified disk center={d.center_int(P)} mod {P}^{d.depth} "
                 f"(digits {list(d.center_digits)})"
             )
     print()

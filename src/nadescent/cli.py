@@ -59,13 +59,12 @@ from .jsonio import (
     parse_int,
     refuse_unprintable,
     require,
-    separation_report_to_json,
     series_to_json,
 )
 from .lie_dims import DEFAULT_LEVEL_CAP, cumulative_dim, graded_dims, validate_genus
-from .padic_series import SeparationStatus, separation_modulus
-from .selmer_bounds import CurveParams, ParityMode, halting_level
-from .two_sided_search import TableEnumerator, run_descent
+from .padic_series import DEFAULT_DEPTH_CAP, SeparationStatus, separation_modulus
+from .selmer_bounds import DEFAULT_N_CAP, CurveParams, ParityMode, halting_level
+from .two_sided_search import DEFAULT_SEARCH_CAP, TableEnumerator, run_descent
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -166,11 +165,7 @@ def _cmd_bounds(args) -> Tuple[int, Doc]:
 
 def _cmd_halt(args) -> Tuple[int, Doc]:
     ranks = _parse_rank_spec(args.rank)
-    modes = (
-        [ParityMode.FAITHFUL, ParityMode.PAPER_VERBATIM]
-        if args.mode == "both"
-        else [ParityMode.parse(args.mode)]
-    )
+    modes = list(ParityMode) if args.mode == "both" else [ParityMode.parse(args.mode)]
     results = []
     missed = False
     for rank in ranks:
@@ -197,23 +192,19 @@ def _cmd_halt(args) -> Tuple[int, Doc]:
     return (EXIT_BOUND_EXHAUSTED if missed else EXIT_OK), doc
 
 
-def _cmd_separate(args) -> Tuple[int, Doc]:
-    doc_in = load_json_file(args.input)
-    charts, _p = charts_from_json(doc_in)
+def _cmd_separate(args) -> Tuple[int, Any]:
+    charts = charts_from_json(load_json_file(args.input))
     report = separation_modulus(charts, depth_cap=args.depth_cap)
-    doc = separation_report_to_json(report)
-    if report.status is not SeparationStatus.SEPARATED:
-        return EXIT_SEPARATION_FAILURE, doc
-    return EXIT_OK, doc
+    separated = report.status is SeparationStatus.SEPARATED
+    return (EXIT_OK if separated else EXIT_SEPARATION_FAILURE), report
 
 
 def _cmd_integrate(args) -> Tuple[int, Doc]:
     doc_in = load_json_file(args.input)
     forms, p, prec = forms_from_json(doc_in)
     system = FormSystem(tuple(forms))
-    if "observable" not in doc_in:
-        raise DomainError("$.observable: missing required field")
-    obs = observable_from_json(doc_in["observable"], p, prec, "$.observable")
+    observable = require(doc_in, "observable", "$")
+    obs = observable_from_json(observable, p, prec, "$.observable")
     trunc = args.trunc
     if trunc is None and "trunc" in doc_in:
         trunc = parse_int(doc_in["trunc"], "$.trunc")
@@ -254,7 +245,7 @@ def _cmd_order(args) -> Tuple[int, Doc]:
     return EXIT_OK, doc
 
 
-def _cmd_descent_sim(args) -> Tuple[int, Doc]:
+def _cmd_descent_sim(args) -> Tuple[int, Any]:
     doc_in = load_json_file(args.input)
     lower_levels, upper_levels = descent_fixture_from_json(doc_in)
     outcome = run_descent(
@@ -263,24 +254,12 @@ def _cmd_descent_sim(args) -> Tuple[int, Doc]:
         n_cap=args.n_cap,
         m_cap=args.m_cap,
     )
-    doc = {
-        "converged": outcome.converged,
-        "points": sorted(outcome.points) if outcome.points is not None else None,
-        "lower_level": outcome.lower_level,
-        "upper_level": outcome.upper_level,
-        "last_lower": sorted(outcome.last_lower),
-        "last_upper": sorted(outcome.last_upper),
-        "n_cap": outcome.n_cap,
-        "m_cap": outcome.m_cap,
-    }
-    return (EXIT_OK if outcome.converged else EXIT_BOUND_EXHAUSTED), doc
+    return (EXIT_OK if outcome.converged else EXIT_BOUND_EXHAUSTED), outcome
 
 
 def _cmd_report(args) -> Tuple[int, Doc]:
     config = load_json_file(args.config)
-    curve = config.get("curve")
-    if not isinstance(curve, dict):
-        raise DomainError("$.curve: missing required object")
+    curve = require(config, "curve", "$")
     genus = parse_int(require(curve, "genus", "$.curve"), "$.curve.genus")
     p = parse_int(require(curve, "p", "$.curve"), "$.curve.p")
     rank = parse_int(require(curve, "mw_rank", "$.curve"), "$.curve.mw_rank")
@@ -290,8 +269,8 @@ def _cmd_report(args) -> Tuple[int, Doc]:
     bad = frozenset(
         parse_int(q, f"$.curve.bad_primes[{i}]") for i, q in enumerate(bad_raw)
     )
-    n_cap = parse_int(config.get("n_cap", 64), "$.n_cap")
-    depth_cap = parse_int(config.get("depth_cap", 12), "$.depth_cap")
+    n_cap = parse_int(config.get("n_cap", DEFAULT_N_CAP), "$.n_cap")
+    depth_cap = parse_int(config.get("depth_cap", DEFAULT_DEPTH_CAP), "$.depth_cap")
     mode = ParityMode.parse(config.get("mode", "faithful"))
     params = CurveParams(
         g=genus, bad_prime_count=len(bad), p=p, mw_rank=rank, bad_primes=bad
@@ -316,21 +295,17 @@ def _cmd_report(args) -> Tuple[int, Doc]:
         doc["failed_stage"] = "halting"
         return EXIT_BOUND_EXHAUSTED, doc
 
-    if "charts" not in config:
-        raise DomainError("$.charts: missing required field")
-    charts, _p = charts_from_json(
-        {"p": p, "prec": config.get("prec"), "charts": config["charts"]}
+    charts = charts_from_json(
+        {"p": p, "prec": config.get("prec"), "charts": require(config, "charts", "$")}
     )
     report = separation_modulus(charts, depth_cap=depth_cap)
-    doc["separation"] = separation_report_to_json(report)
+    doc["separation"] = report
     if report.status is not SeparationStatus.SEPARATED:
         doc["status"] = "separation-failed"
         doc["failed_stage"] = "separation"
         return EXIT_SEPARATION_FAILURE, doc
 
-    jac = config.get("jacobian")
-    if not isinstance(jac, dict):
-        raise DomainError("$.jacobian: missing required object")
+    jac = require(config, "jacobian", "$")
     count_fp = parse_int(require(jac, "count_fp", "$.jacobian"), "$.jacobian.count_fp")
     jac_g = parse_int(jac.get("g", genus), "$.jacobian.g")
     doc["inputs"]["jacobian"] = {"g": jac_g, "count_fp": count_fp}
@@ -423,7 +398,7 @@ def _int(*names: str, **options: Any) -> Flag:
 class Command(NamedTuple):
     help: str
     flags: Tuple[Flag, ...]
-    handler: Callable[[argparse.Namespace], Tuple[int, Doc]]
+    handler: Callable[[argparse.Namespace], Tuple[int, Any]]  # any canonicalizable
     csv: Optional[Renderer] = None  # None: csv output is refused
     plain: Optional[Renderer] = None  # None: plain output is the canonical json
 
@@ -456,7 +431,10 @@ def _curve_flags(*extra_modes: str) -> Tuple[Flag, ...]:
             "--bad-primes", help="comma-separated primes of bad reduction (e.g. 11,13)"
         ),
         _int("--bad-count", help="size of the bad set, if primes are not listed"),
-        _int("--n-cap", default=64, help="largest level to examine (default 64)"),
+        _int(
+            "--n-cap", default=DEFAULT_N_CAP,
+            help="largest level to examine (default %(default)s)",
+        ),
         _flag(
             "--mode",
             choices=("faithful", "verbatim") + extra_modes,
@@ -500,7 +478,7 @@ COMMANDS: Dict[str, Command] = {
     ),
     "separate": Command(
         "isolate zeros across charts (JSON input)",
-        (_INPUT, _int("--depth-cap", default=12), _JOBS),
+        (_INPUT, _int("--depth-cap", default=DEFAULT_DEPTH_CAP), _JOBS),
         _cmd_separate,
     ),
     "integrate": Command(
@@ -531,7 +509,11 @@ COMMANDS: Dict[str, Command] = {
     ),
     "descent-sim": Command(
         "two-sided search on a tabulated fixture (JSON input)",
-        (_INPUT, _int("--n-cap", default=64), _int("--m-cap", default=64)),
+        (
+            _INPUT,
+            _int("--n-cap", default=DEFAULT_SEARCH_CAP),
+            _int("--m-cap", default=DEFAULT_SEARCH_CAP),
+        ),
         _cmd_descent_sim,
     ),
     "report": Command(

@@ -132,6 +132,15 @@ class FormSystem:
     def trunc_degree(self) -> int:
         return self.forms[0].trunc_degree
 
+    def truncation(self, trunc: Optional[int]) -> int:
+        """``trunc``, or the forms' degree when None; refused outside 1..degree."""
+        degree = self.trunc_degree
+        if trunc is None:
+            trunc = degree
+        if not 1 <= trunc <= degree:
+            raise DomainError(f"truncation degree {trunc} outside 1..{degree}")
+        return trunc
+
     @property
     def working_prec(self) -> int:
         precs = [c.prec for f in self.forms for c in f.coeffs if c.unit is not None]
@@ -175,13 +184,7 @@ def iterated_integral(
     the truncation degree defaults to (and cannot exceed) the forms' own.
     """
     word = _validate_word(word, system.size)
-    if trunc is None:
-        trunc = system.trunc_degree
-    if not 1 <= trunc <= system.trunc_degree:
-        raise DomainError(
-            f"truncation degree {trunc} outside 1..{system.trunc_degree}"
-        )
-    return _integral(system, word, trunc, {})
+    return _integral(system, word, system.truncation(trunc), {})
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +260,7 @@ def evaluate_observable(
         raise PrimeMismatchError(
             f"observable over p={obs.p}, forms over p={system.p}"
         )
-    if trunc is None:
-        trunc = system.trunc_degree
-    if not 1 <= trunc <= system.trunc_degree:
-        raise DomainError(
-            f"truncation degree {trunc} outside 1..{system.trunc_degree}"
-        )
+    trunc = system.truncation(trunc)
     memo: Dict[Word, PadicSeries] = {}
     total: Optional[PadicSeries] = None
     for word, coeff in obs.terms:

@@ -9,7 +9,8 @@ Two rules keep the wire format trustworthy:
   Parsing accepts either form.
 * Output is canonical: keys sorted, two-space indent, trailing newline.
   Identical inputs produce byte-identical reports, whatever dict insertion
-  order produced them.
+  order produced them.  A dataclass is written as the object of its
+  fields, so a field name is a wire key.
 
 Floats are rejected outright -- nothing in this package is approximate in
 the floating-point sense, so a float in a document is always a mistake.
@@ -22,6 +23,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import fields, is_dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from .arith import is_prime
@@ -31,11 +33,8 @@ from .padic_series import (
     DEFAULT_PRECISION,
     Chart,
     DiskSeries,
-    IsolationFailure,
     PadicNumber,
     PadicSeries,
-    SeparationReport,
-    ZeroDisk,
 )
 
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
@@ -194,21 +193,20 @@ def series_to_json(f: PadicSeries) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def charts_from_json(doc: Any, path: str = "$") -> Tuple[List[Chart], int]:
+def charts_from_json(doc: Any, path: str = "$") -> List[Chart]:
     """Chart payload: ``{"charts": [{chart_id, p, disks: [...]}]}`` where each
     disk is ``{center_label, coeffs, trunc, weierstrass_bound}``.  ``p`` (and
     an optional default ``prec``) may be given once at the top level instead
     of per chart; all charts must agree on one prime."""
     if isinstance(doc, list):
         doc = {"charts": doc}
-    top_p_raw = _optional(doc, "p")
-    top_p = _prime(top_p_raw, f"{path}.p") if top_p_raw is not None else None
+    p_raw = _optional(doc, "p")
+    p = _prime(p_raw, f"{path}.p") if p_raw is not None else None
     prec = _precision(doc, path)
     charts_raw = require(doc, "charts", path)
     if not isinstance(charts_raw, list) or not charts_raw:
         raise DomainError(f"{path}.charts: expected a nonempty array")
     charts: List[Chart] = []
-    p: Optional[int] = top_p
     for i, chart_obj in enumerate(charts_raw):
         cpath = f"{path}.charts[{i}]"
         chart_id = require(chart_obj, "chart_id", cpath)
@@ -240,37 +238,7 @@ def charts_from_json(doc: Any, path: str = "$") -> Tuple[List[Chart], int]:
             )
             disks.append(DiskSeries(label=label, series=series))
         charts.append(Chart(chart_id=chart_id, disks=tuple(disks)))
-    assert p is not None
-    return charts, p
-
-
-def _disk_to_json(d: ZeroDisk) -> Dict[str, Any]:
-    return {
-        "chart_id": d.chart_id,
-        "center_digits": list(d.center_digits),
-        "depth": d.depth,
-        "zero_count": d.zero_count,
-        "multiplicity_flag": d.multiplicity_flag,
-    }
-
-
-def _failure_to_json(x: IsolationFailure) -> Dict[str, Any]:
-    return {
-        "chart_id": x.chart_id,
-        "center_digits": list(x.center_digits),
-        "depth": x.depth,
-        "reason": x.reason.value,
-        "residual_count": x.residual_count,
-    }
-
-
-def separation_report_to_json(report: SeparationReport) -> Dict[str, Any]:
-    return {
-        "status": report.status.value,
-        "modulus": report.modulus,
-        "disks": [_disk_to_json(d) for d in report.disks],
-        "failures": [_failure_to_json(x) for x in report.failures],
-    }
+    return charts
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +325,9 @@ def descent_fixture_from_json(
 
 def canonicalize(obj: Any) -> Any:
     """Recursively prepare a document: ints become decimal strings, enums
-    their values; floats are a hard error.  An int whose bit length alone
-    puts it past the int/str digit limit is refused before any conversion."""
+    their values, dataclass instances the objects of their fields; floats
+    are a hard error.  An int whose bit length alone puts it past the
+    int/str digit limit is refused before any conversion."""
     _refuse_long_ints(obj, _unprintable_bits())
     return _canonical(obj)
 
@@ -386,6 +355,13 @@ def _digit_limit_error() -> DigitLimitError:
     )
 
 
+def _fields(obj: Any) -> Optional[Dict[str, Any]]:
+    """The fields of a dataclass instance by name; None for anything else."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return None
+
+
 def _refuse_long_ints(obj: Any, min_bits: int) -> None:
     if isinstance(obj, enum.Enum):
         _refuse_long_ints(obj.value, min_bits)
@@ -398,13 +374,16 @@ def _refuse_long_ints(obj: Any, min_bits: int) -> None:
     elif isinstance(obj, (list, tuple, set, frozenset)):
         for v in obj:
             _refuse_long_ints(v, min_bits)
+    elif (record := _fields(obj)) is not None:
+        _refuse_long_ints(record, min_bits)
 
 
 def _canonical(obj: Any) -> Any:
-    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
-        return obj
+    # an enum first: a str-mixin member must become its plain value
     if isinstance(obj, enum.Enum):
         return _canonical(obj.value)
+    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
+        return obj
     if isinstance(obj, int):
         try:
             return str(obj)
@@ -425,6 +404,9 @@ def _canonical(obj: Any) -> Any:
         return [_canonical(v) for v in obj]
     if isinstance(obj, (set, frozenset)):
         return sorted(_canonical(v) for v in obj)
+    record = _fields(obj)
+    if record is not None:
+        return _canonical(record)
     raise InvariantError(f"unserializable value {obj!r}")
 
 

@@ -24,7 +24,6 @@ Everything here is arbitrary-precision integer arithmetic; no floats.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -39,7 +38,6 @@ DEFAULT_LEVEL_CAP = 10_000
 #: How many genera the graded-dimension cache keeps.
 _CACHE_GENERA = 64
 _cache: dict[int, GradedDims] = {}  # genus -> longest prefix computed so far
-_cache_lock = threading.Lock()
 
 
 def validate_genus(g: int) -> int:
@@ -97,10 +95,9 @@ def graded_dims(g: int, n_max: int, cap: int = DEFAULT_LEVEL_CAP) -> GradedDims:
     known = _cache.get(g)
     if known is None or known.n_max < n_max:
         known = _extend(g, known, n_max)
-        with _cache_lock:
-            _cache[g] = known
-            if len(_cache) > _CACHE_GENERA:
-                del _cache[next(iter(_cache))]
+        _cache[g] = known
+        if len(_cache) > _CACHE_GENERA:
+            del _cache[next(iter(_cache))]
     if known.n_max == n_max:
         return known
     return GradedDims(g, known.lucas[: n_max + 1], known.graded[:n_max])

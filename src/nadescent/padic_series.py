@@ -72,6 +72,9 @@ from .errors import (
 #: not say how many digits to carry.
 DEFAULT_PRECISION = 20
 
+#: Default deepest residue class the zero walk refines to.
+DEFAULT_DEPTH_CAP = 12
+
 
 class PadicNumber:
     """A p-adic number known to finite precision.  Immutable.
@@ -588,18 +591,11 @@ class NewtonPolygon:
     vertices: tuple[tuple[int, int], ...]
     origin_order: int
 
-    def segments(self) -> list[tuple[Fraction, int]]:
-        """(slope, horizontal length) for each hull edge, left to right."""
-        out = []
-        for (x1, y1), (x2, y2) in zip(self.vertices, self.vertices[1:]):
-            out.append((Fraction(y2 - y1, x2 - x1), x2 - x1))
-        return out
-
     def positive_valuation_root_count(self) -> int:
         count = self.origin_order
-        for slope, length in self.segments():
-            if slope <= -1:
-                count += length
+        for (x1, y1), (x2, y2) in zip(self.vertices, self.vertices[1:]):
+            if y1 - y2 >= x2 - x1:  # slope <= -1, as x2 > x1
+                count += x2 - x1
         return count
 
 
@@ -617,15 +613,14 @@ def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def _hull_height_excess(hull: list[tuple[int, int]], i: int, k: int) -> bool:
-    """True when the hull at abscissa i lies strictly above level k."""
+    """True when the hull at abscissa i lies strictly above level k.
+
+    An ``O(p^k)`` coefficient is never a vertex, so an i inside the hull's
+    range lies strictly between two vertices."""
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         if x1 <= i <= x2:
             # k < y1 + (y2 - y1) (i - x1) / (x2 - x1), cross-multiplied
             return k * (x2 - x1) < y1 * (x2 - x1) + (y2 - y1) * (i - x1)
-    # single-vertex hull or i at the lone vertex
-    x0, y0 = hull[0]
-    if i == x0 or len(hull) == 1:
-        return k < y0
     raise AssertionError("abscissa outside hull range")  # pragma: no cover
 
 
@@ -818,7 +813,7 @@ def _isolate_classes(
 
 
 def isolate_zeros(
-    f: PadicSeries, chart_id: str = "disk", depth_cap: int = 12
+    f: PadicSeries, chart_id: str = "disk", depth_cap: int = DEFAULT_DEPTH_CAP
 ) -> list[ZeroDisk]:
     """Isolate the Z_p zeros of f into certified sub-disks.
 
@@ -890,7 +885,9 @@ def _as_chart(obj) -> Chart:
     return Chart(chart_id=str(chart_id), disks=tuple(disks))
 
 
-def separation_modulus(charts: Iterable, depth_cap: int = 12) -> SeparationReport:
+def separation_modulus(
+    charts: Iterable, depth_cap: int = DEFAULT_DEPTH_CAP
+) -> SeparationReport:
     """Isolate zeros across every disk of every chart and aggregate.
 
     ``charts`` may hold Chart objects or plain (chart_id, [series, ...])

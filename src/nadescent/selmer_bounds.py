@@ -42,6 +42,9 @@ from .arith import is_prime
 from .errors import DomainError, ParityError, check_int
 from .lie_dims import GradedDims, graded_dims, validate_genus
 
+#: Default largest level the bound recursion examines.
+DEFAULT_N_CAP = 64
+
 
 class ParityMode(enum.Enum):
     FAITHFUL = "faithful"
@@ -49,14 +52,12 @@ class ParityMode(enum.Enum):
 
     @classmethod
     def parse(cls, text) -> "ParityMode":
-        if isinstance(text, cls):
-            return text
-        for mode in cls:
-            if mode.value == text:
-                return mode
-        raise DomainError(
-            f"unknown parity mode {text!r}; expected 'faithful' or 'verbatim'"
-        )
+        try:
+            return cls(text)  # a member, or the value of one
+        except ValueError:
+            raise DomainError(
+                f"unknown parity mode {text!r}; expected 'faithful' or 'verbatim'"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -180,11 +181,6 @@ def _bound_rows(
     """Rows (n, UB(n), LB(n)) for n = 2..n_cap, each step computed on demand."""
     if n_cap < 2:
         raise DomainError(f"n_cap must be >= 2, got {n_cap}")
-    if n_cap - 1 > dims.n_max:
-        raise DomainError(
-            f"need graded dimensions through degree {n_cap - 1}, have "
-            f"{dims.n_max}"
-        )
     g = dims.g
     ub, lb = params.mw_rank, g
     yield BoundRow(2, ub, lb)
@@ -196,9 +192,8 @@ def _bound_rows(
 
 def halting_level(
     params: CurveParams,
-    n_cap: int = 64,
+    n_cap: int = DEFAULT_N_CAP,
     mode: ParityMode = ParityMode.FAITHFUL,
-    dims: Optional[GradedDims] = None,
 ) -> BoundTable:
     """Least n in [2, n_cap] with UB(n) < LB(n).
 
@@ -206,8 +201,7 @@ def halting_level(
     found (``halting_level`` is then that n); when the cap is exhausted the
     rows run through n_cap and ``halting_level`` is None.
     """
-    if dims is None:
-        dims = graded_dims(params.g, max(n_cap - 1, 1))
+    dims = graded_dims(params.g, max(n_cap - 1, 1))
     rows = []
     for row in _bound_rows(params, dims, n_cap, mode):
         rows.append(row)

@@ -25,6 +25,9 @@ from .errors import (
     check_int,
 )
 
+#: Default cap on the levels each side of the search may advance to.
+DEFAULT_SEARCH_CAP = 64
+
 
 class LevelEnumerator(Protocol):
     """Anything exposing levelwise finite sets."""
@@ -76,8 +79,8 @@ def run_descent(
     lower: LevelEnumerator,
     upper: LevelEnumerator,
     *,
-    n_cap: int = 64,
-    m_cap: int = 64,
+    n_cap: int = DEFAULT_SEARCH_CAP,
+    m_cap: int = DEFAULT_SEARCH_CAP,
 ) -> DescentOutcome:
     """Alternate the two sides until some A_n == B_m or both caps are hit.
 
@@ -91,41 +94,16 @@ def run_descent(
     n = m = 0
     a = frozenset(lower.next_level(0))
     b = frozenset(upper.next_level(0))
-    next_side = "lower"
+    lower_next = True
     while True:
         if not a <= b:
             raise ContainmentViolatedError(
                 f"certified points escape the sieve at (n={n}, m={m}): "
                 f"extra {_display(a - b)}"
             )
-        if a == b:
-            return DescentOutcome(
-                converged=True,
-                points=a,
-                lower_level=n,
-                upper_level=m,
-                last_lower=a,
-                last_upper=b,
-                n_cap=n_cap,
-                m_cap=m_cap,
-            )
-        if n >= n_cap and m >= m_cap:
-            return DescentOutcome(
-                converged=False,
-                points=None,
-                lower_level=n,
-                upper_level=m,
-                last_lower=a,
-                last_upper=b,
-                n_cap=n_cap,
-                m_cap=m_cap,
-            )
-        side = next_side
-        if side == "lower" and n >= n_cap:
-            side = "upper"
-        elif side == "upper" and m >= m_cap:
-            side = "lower"
-        if side == "lower":
+        if a == b or (n >= n_cap and m >= m_cap):
+            break
+        if (lower_next and n < n_cap) or m >= m_cap:
             n += 1
             grown = frozenset(lower.next_level(n))
             if not grown >= a:
@@ -134,7 +112,7 @@ def run_descent(
                     f"{_display(a - grown)}"
                 )
             a = grown
-            next_side = "upper"
+            lower_next = False
         else:
             m += 1
             shrunk = frozenset(upper.next_level(m))
@@ -144,4 +122,15 @@ def run_descent(
                     f"{_display(shrunk - b)}"
                 )
             b = shrunk
-            next_side = "lower"
+            lower_next = True
+    converged = a == b
+    return DescentOutcome(
+        converged=converged,
+        points=a if converged else None,
+        lower_level=n,
+        upper_level=m,
+        last_lower=a,
+        last_upper=b,
+        n_cap=n_cap,
+        m_cap=m_cap,
+    )

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import enum
 import json
 import sys
+from dataclasses import dataclass
+from typing import Any
 
 import pytest
 
@@ -477,6 +480,13 @@ class TestReport:
         assert code == 2
         assert "$.curve.mw_rank" in err
 
+    @pytest.mark.parametrize("config", [[], "x", 5])
+    def test_config_must_be_an_object(self, tmp_path, config):
+        path = write_json(tmp_path, "scalar.json", config)
+        code, out, err = invoke_cli(["report", "--config", path])
+        assert (code, out) == (2, "")
+        assert "$: expected an object" in err
+
     def test_out_file_round_trip(self, tmp_path):
         target = tmp_path / "full.json"
         code, out, _ = invoke_cli(
@@ -636,6 +646,51 @@ class TestDigitLimitPrecheck:
         # the first row cannot be converted, the last alone is long enough
         # for its bit length to prove the refusal
         doc = [Unconvertible(), 10**700]
+        with pytest.raises(DigitLimitError):
+            canonicalize(doc)
+
+
+class Colour(str, enum.Enum):
+    RED = "red"
+
+
+@dataclass(frozen=True)
+class Leaf:
+    colour: Colour
+    tags: frozenset
+    digits: tuple
+    missing: Any
+
+
+@dataclass(frozen=True)
+class Node:
+    count: int
+    leaves: tuple
+
+
+class TestCanonicalDataclass:
+    def test_nested_dataclass_becomes_its_fields(self):
+        doc = Node(3, (Leaf(Colour.RED, frozenset({5, 12}), (0, 4), None),))
+        assert canonicalize({"node": doc}) == {
+            "node": {
+                "count": "3",
+                "leaves": [
+                    {
+                        "colour": "red",
+                        "tags": ["12", "5"],
+                        "digits": ["0", "4"],
+                        "missing": None,
+                    }
+                ],
+            }
+        }
+
+    def test_str_enum_becomes_its_plain_value(self):
+        value = canonicalize([Colour.RED])[0]
+        assert type(value) is str and f"{value}" == "red"
+
+    def test_long_field_is_refused_before_any_conversion(self, low_digit_limit):
+        doc = Node(Unconvertible(), (Leaf(Colour.RED, frozenset(), (10**700,), None),))
         with pytest.raises(DigitLimitError):
             canonicalize(doc)
 

@@ -171,6 +171,13 @@ class TestScheduleAgainstOracle:
             )
             if expected is None:
                 assert not out.converged, trial
+                assert (out.lower_level, out.upper_level) == (n_cap, m_cap), trial
+                assert out.last_lower == frozenset(
+                    lower_levels[min(n_cap, len(lower_levels) - 1)]
+                ), trial
+                assert out.last_upper == frozenset(
+                    upper_levels[min(m_cap, len(upper_levels) - 1)]
+                ), trial
             else:
                 points, n, m = expected
                 assert out.converged, trial
