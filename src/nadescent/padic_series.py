@@ -27,6 +27,11 @@ Caruso, Roe & Vaccon, 2014); cancellation degrades a sum to ``O(p^k)``
 rather than guessing its valuation.  Every consumer of a polygon or a root
 count either receives a certified answer or an explicit precision error.
 
+In relative form, with rel = abs - v (0 for ``O(p^k)``): a product term
+a_i b_j with neither factor an exact zero is known to
+abs = v(a_i) + v(b_j) + min(rel a_i, rel b_j), and product coefficient d to
+the least such abs over i + j = d.
+
 Zero walk
 ---------
 Zeros on Z_p are isolated by walking residue classes, each shifted to the
@@ -53,7 +58,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
+from itertools import accumulate
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
 from .arith import v_p
@@ -252,9 +258,10 @@ def _normalize(p: int, base: int, total: int, abs_prec) -> PadicNumber:
     """
     if abs_prec == _INF:
         return PadicNumber.zero(p)
-    while total and total % p == 0:
-        total //= p
-        base += 1
+    if total % p == 0 and total:
+        t = v_p(total, p)
+        total //= p**t
+        base += t
     if not total or base >= abs_prec:
         return PadicNumber.zero_to(p, abs_prec)
     return PadicNumber(p, base, total, abs_prec - base)
@@ -262,28 +269,91 @@ def _normalize(p: int, base: int, total: int, abs_prec) -> PadicNumber:
 
 def _reduced(p: int, base: int, ints, abss) -> list:
     """Each ``ints[i]`` reduced modulo ``p^(abss[i] - base)``; 0 where no
-    digit at or above ``p^base`` is known, and for the exact zero."""
-    return [
-        x % p ** (a - base) if base < a < _INF else 0 for x, a in zip(ints, abss)
-    ]
+    digit at or above ``p^base`` is known, and for the exact zero.  A
+    precision equal to the one before reuses its modulus."""
+    out, last, mod = [], None, 1
+    for x, a in zip(ints, abss):
+        if base < a < _INF:
+            if a != last:
+                last, mod = a, p ** (a - base)
+            out.append(x % mod)
+        else:
+            out.append(0)
+    return out
 
 
 def _valuations(p: int, base: int, ints, abss) -> list:
     """Valuation floor of each stored coefficient: the valuation of a unit
     form, k for ``O(p^k)``, +inf for the exact zero."""
-    return [base + v_p(x, p) if x else a for x, a in zip(ints, abss)]
+    return [
+        base if x % p else base + v_p(x, p) if x else a for x, a in zip(ints, abss)
+    ]
+
+
+def _relative_precision(vals, abss):
+    """The relative precision abs - v shared by every coefficient that is not
+    an exact zero (0 for ``O(p^k)``), or None when they differ."""
+    rels = {a - v for v, a in zip(vals, abss) if a < _INF}
+    if len(rels) > 1:
+        return None
+    return rels.pop() if rels else 0
+
+
+def _min_plus(xs, ys) -> list:
+    """Entry d is the least xs[i] + ys[d - i], for d below the common length."""
+    n, rev = len(xs), ys[::-1]
+    return [min(map(add, xs, rev[n - 1 - d :])) for d in range(n)]
+
+
+def _kronecker_product(xs, ys) -> list:
+    """The first n = len(xs) = len(ys) coefficients of the product of two
+    polynomials with non-negative integer coefficients, by one long multiply.
+
+    Coefficient d sums at most n products, so it is below the slot size
+    2^(bitlen(max xs) + bitlen(max ys) + bitlen(n)) and no slot carries into
+    the next (Kronecker substitution)."""
+    n = len(xs)
+    width = (max(xs).bit_length() + max(ys).bit_length() + n.bit_length() + 7) // 8
+    size = width * n
+    packed = [
+        int.from_bytes(b"".join([z.to_bytes(width, "little") for z in zs]), "little")
+        for zs in (xs, ys)
+    ]
+    low = (packed[0] * packed[1]) & ((1 << 8 * size) - 1)
+    raw = low.to_bytes(size, "little")
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, size, width)]
+
+
+@lru_cache(maxsize=256)
+def _legendre(p: int, n: int) -> tuple[int, ...]:
+    """Entry k is v_p(k) for 1 <= k <= n; entry 0 is 0."""
+    out = [0] * (n + 1)
+    q = p
+    while q <= n:
+        for k in range(q, n + 1, q):
+            out[k] += 1
+        q *= p
+    return tuple(out)
 
 
 @lru_cache(maxsize=256)
 def _binomial_valuations(p: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Row j holds v_p(C(m, j)) for m = j..n-1, by Legendre's formula."""
-    fact = [0] * n  # fact[k] = v_p(k!)
-    for k in range(1, n):
-        fact[k] = fact[k - 1] + v_p(k, p)
+    fact = list(accumulate(_legendre(p, n - 1)))  # fact[k] = v_p(k!)
     return tuple(
         tuple(fact[m] - fact[j] - fact[m - j] for m in range(j, n))
         for j in range(n)
     )
+
+
+@lru_cache(maxsize=256)
+def _antiderivative_table(p: int, n: int, e: int):
+    """For the divisors k = u p^t, k = 1..n: the rows t, u^-1 mod p^e and
+    p^(top - t), where top is the largest t."""
+    ts = _legendre(p, n)[1:]
+    top, mod = max(ts), p**e
+    inverses = tuple(pow(k // p**t, -1, mod) for k, t in enumerate(ts, 1))
+    return ts, inverses, tuple(p ** (top - t) for t in ts), top
 
 
 class PadicSeries:
@@ -421,23 +491,37 @@ class PadicSeries:
         return self + other.scale_int(-1)
 
     def __mul__(self, other: "PadicSeries") -> "PadicSeries":
+        """The product, truncated at the shorter operand.
+
+        Coefficient d is known to the least v(a_i) + v(b_j) + min(rel a_i,
+        rel b_j) over i + j = d (see the module docstring).  When every
+        coefficient of one operand that is not an exact zero has the same
+        rel r, as in any series read from integers, that term is
+        v(a_i) + c_j with c_j = min(r + v(b_j), abs(b_j)), and one min-plus
+        pass finds the least; otherwise two passes take the least of
+        abs(a_i) + v(b_j) and of v(a_i) + abs(b_j).  The coefficient
+        integers are multiplied by Kronecker substitution.
+        """
         if not isinstance(other, PadicSeries):
             return NotImplemented
         _require_same_prime(self, other)
-        # Product d is the convolution sum of a_i b_(d-i); a live term is
-        # known to min(abs(a_i) + v(b_(d-i)), abs(b_(d-i)) + v(a_i)).
         p = self.p
         n = min(len(self.ints), len(other.ints))
-        a_ints, a_abss, a_vals = self.ints, self.abss, self.vals()
-        b_ints, b_abss = other.ints[n - 1 :: -1], other.abss[n - 1 :: -1]
+        a_ints, a_abss = self.ints[:n], self.abss[:n]
+        b_ints, b_abss = other.ints[:n], other.abss[:n]
+        a_vals = _valuations(p, self.base, a_ints, a_abss)
         b_vals = _valuations(p, other.base, b_ints, b_abss)
-        ints, abss = [], []
-        for d in range(n):
-            lo = n - 1 - d  # b_(d-i) sits at index lo + i of the reversed lists
-            known = min(map(add, a_abss, b_vals[lo:]))
-            abss.append(min(known, min(map(add, a_vals, b_abss[lo:]))))
-            ints.append(sum(map(mul, a_ints, b_ints[lo:])))
+        r = _relative_precision(a_vals, a_abss)
+        if r is not None:
+            abss = _min_plus(a_vals, [min(r + v, a) for v, a in zip(b_vals, b_abss)])
+        elif (r := _relative_precision(b_vals, b_abss)) is not None:
+            abss = _min_plus([min(r + v, a) for v, a in zip(a_vals, a_abss)], b_vals)
+        else:
+            abss = list(
+                map(min, _min_plus(a_abss, b_vals), _min_plus(a_vals, b_abss))
+            )
         base = self.base + other.base
+        ints = _kronecker_product(a_ints, b_ints)
         return _series(p, base, _reduced(p, base, ints, abss), abss)
 
     def scale(self, c: PadicNumber) -> "PadicSeries":
@@ -466,9 +550,9 @@ class PadicSeries:
     # -- calculus ----------------------------------------------------------
 
     def derivative(self) -> "PadicSeries":
-        p, base = self.p, self.base
+        p, base, n = self.p, self.base, len(self.ints)
         # a constant's derivative is the exact zero
-        abss = [a + v_p(i, p) for i, a in enumerate(self.abss[1:], 1)] or [_INF]
+        abss = list(map(add, self.abss[1:], _legendre(p, n - 1)[1:])) or [_INF]
         ints = [x * i for i, x in enumerate(self.ints[1:], 1)] or [0]
         return _series(p, base, _reduced(p, base, ints, abss), abss)
 
@@ -480,17 +564,13 @@ class PadicSeries:
         precision is spent -- exactly the cost the caller has to budget for.
         The base drops by the largest t, so every quotient is an integer.
         """
-        p, base = self.p, self.base
-        top = max(v_p(k, p) for k in range(1, len(self.ints) + 1))
-        ints, abss = [0], [_INF]
-        for k, (x, a) in enumerate(zip(self.ints, self.abss), 1):
-            t = v_p(k, p)
-            abss.append(a - t)
-            if x:
-                mod = p ** (a - base)
-                x = x * pow(k // p**t, -1, mod) % mod * p ** (top - t)
-            ints.append(x)
-        return _series(p, base - top, ints, abss)
+        p, base, abss = self.p, self.base, self.abss
+        # every stored integer is below p^e, so u^-1 mod p^e serves them all
+        e = max((a for a in abss if a < _INF), default=base) - base
+        ts, inverses, shifts, top = _antiderivative_table(p, len(abss), max(e, 0))
+        quotients = _reduced(p, base, list(map(mul, self.ints, inverses)), abss)
+        ints = [0, *map(mul, quotients, shifts)]
+        return _series(p, base - top, ints, [_INF, *map(sub, abss, ts)])
 
     # -- substitution ------------------------------------------------------
 

@@ -401,12 +401,13 @@ def shift_center_by_objects(f, c: int):
     """Coefficients of f(c + z): one scale_int and one + per term."""
     if c == 0:
         return list(f.coeffs)
-    n = len(f.coeffs)
+    coeffs = f.coeffs
+    n = len(coeffs)
     out = []
     for j in range(n):
         acc = PadicNumber.zero(f.p)
         for m in range(j, n):
-            acc = acc + f.coeffs[m].scale_int(math.comb(m, j) * c ** (m - j))
+            acc = acc + coeffs[m].scale_int(math.comb(m, j) * c ** (m - j))
         out.append(acc)
     return out
 
@@ -421,12 +422,12 @@ def evaluate_by_objects(f, x: int):
 
 def series_mul_by_objects(f, g):
     """Coefficients of f g: one * and one + per pair of terms."""
-    n = min(len(f.coeffs), len(g.coeffs))
+    fc, gc = f.coeffs, g.coeffs
     out = []
-    for d in range(n):
+    for d in range(min(len(fc), len(gc))):
         acc = PadicNumber.zero(f.p)
         for i in range(d + 1):
-            acc = acc + f.coeffs[i] * g.coeffs[d - i]
+            acc = acc + fc[i] * gc[d - i]
         out.append(acc)
     return out
 

@@ -1,13 +1,15 @@
-"""Primality (deterministic bases below psi_12, Baillie-PSW above) and the
-shared integer argument check."""
+"""Primality (deterministic bases below psi_12, Baillie-PSW above), p-adic
+valuations of integers and the shared integer argument check."""
 
 from __future__ import annotations
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nadescent.arith import _strong_lucas_probable_prime, factorize, is_prime
+from nadescent.arith import _strong_lucas_probable_prime, factorize, is_prime, v_p
 from nadescent.descent_arith import enlarged_prime_set
 from nadescent.errors import DomainError, check_int
 
@@ -16,6 +18,7 @@ from .oracles import (
     PSI_12_FACTORS,
     STRONG_LUCAS_PSEUDOPRIMES,
     STRONG_PSEUDOPRIMES_BASE_2,
+    int_valuation,
     sieve_primes,
 )
 
@@ -78,6 +81,32 @@ class TestIsPrime:
             assert is_prime(q), q
         for n in range(PSI_12 - 2000, PSI_12 + 2000):
             assert is_prime(n) == sympy.isprime(n), n
+
+
+class TestValuation:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.sampled_from([2, 3, 5, 7, 11, 101, 2**31 - 1]),
+        unit=st.integers(-(10**30), 10**30).filter(bool),
+        v=st.one_of(st.integers(0, 20), st.integers(0, 3000)),
+    )
+    def test_matches_one_division_per_digit(self, p, unit, v):
+        n = unit * p**v
+        assert v_p(n, p) == int_valuation(n, p)
+
+    @pytest.mark.parametrize(
+        "v", [3, 4, 5, 63, 64, 65, 67, 68, 69, 131, 132, 1023, 1024]
+    )
+    def test_around_each_change_of_step(self, v):
+        for unit in (1, -1, 3, -3 * 2**40 - 1):
+            assert v_p(unit * 5**v, 5) == int_valuation(unit * 5**v, 5)
+
+    def test_deep_valuation(self):
+        assert v_p(7 * 5**30000, 5) == 30000
+
+    def test_zero_is_refused(self):
+        with pytest.raises(DomainError):
+            v_p(0, 5)
 
 
 class TestCheckInt:

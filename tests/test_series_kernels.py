@@ -51,6 +51,41 @@ def series_balls(draw, p, max_len=8):
 
 
 @st.composite
+def uniform_series(draw, p, length=None):
+    """A PadicSeries of up to 48 wide coefficients, a quarter of them exact
+    zeros, whose unit forms share one relative precision (1..60): an
+    operand a product passes over once.  In "unknown" mode the rest are
+    ``O(p^k)`` (relative precision 0, uniform too); in "broken" mode one
+    coefficient in eight is, among the unit forms, which makes the series
+    non-uniform again."""
+    mode = draw(st.sampled_from(["units", "units", "unknown", "broken"]))
+    prec = draw(st.integers(1, 60))
+    units = st.integers(1, p**prec - 1).map(lambda u: u + 1 if u % p == 0 else u)
+    coeffs = []
+    for _ in range(length or draw(st.integers(1, 48))):
+        roll = draw(st.integers(0, 31))
+        if roll < 8:
+            coeffs.append(PadicNumber.zero(p))
+        elif mode == "unknown" or (mode == "broken" and roll < 12):
+            coeffs.append(PadicNumber.zero_to(p, draw(st.integers(-3, 40))))
+        else:
+            val = draw(st.one_of(st.integers(-3, 3), st.integers(-3, 40)))
+            coeffs.append(PadicNumber(p, val, draw(units), prec))
+    return PadicSeries(p, coeffs)
+
+
+@st.composite
+def uniform_product_cases(draw):
+    """A uniform operand on one side of ``*`` and, on the other, a uniform
+    or a mixed-precision one, of independent lengths."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    f = draw(uniform_series(p))
+    mixed = series_balls(p, max_len=48).map(lambda x: x[0])
+    g = draw(st.one_of(uniform_series(p), mixed))
+    return (f, g) if draw(st.booleans()) else (g, f)
+
+
+@st.composite
 def shift_cases(draw):
     p = draw(PRIMES)
     f, exact = draw(series_balls(p))
@@ -173,6 +208,12 @@ class TestKernelsMatchObjectLoops:
         assert_matches(lambda: f * g, oracles.series_mul_by_objects(f, g))
 
     @settings(max_examples=150, deadline=None)
+    @given(case=uniform_product_cases())
+    def test_product_with_a_uniform_operand(self, case):
+        f, g = case
+        assert_matches(lambda: f * g, oracles.series_mul_by_objects(f, g))
+
+    @settings(max_examples=150, deadline=None)
     @given(case=product_cases())
     def test_sum(self, case):
         _, f, _, g, _ = case
@@ -202,6 +243,16 @@ class TestKernelsMatchObjectLoops:
     def test_antiderivative(self, data, p):
         f, _ = data.draw(series_balls(p, max_len=30))
         assert_matches(f.antiderivative, oracles.antiderivative_by_objects(f))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 11]))
+    def test_antiderivative_across_precisions(self, data, p):
+        # one length, several precisions: the cached inverse tables of one
+        # (p, length) serve several moduli
+        n = data.draw(st.integers(1, 48))
+        for _ in range(3):
+            f = data.draw(uniform_series(p, length=n))
+            assert_matches(f.antiderivative, oracles.antiderivative_by_objects(f))
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), p=PRIMES)
