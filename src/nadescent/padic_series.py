@@ -495,8 +495,8 @@ class PadicSeries:
 
         Coefficient d is known to the least v(a_i) + v(b_j) + min(rel a_i,
         rel b_j) over i + j = d (see the module docstring).  When every
-        coefficient of one operand that is not an exact zero has the same
-        rel r, as in any series read from integers, that term is
+        coefficient of the left operand that is not an exact zero has the
+        same rel r, as in any series read from integers, that term is
         v(a_i) + c_j with c_j = min(r + v(b_j), abs(b_j)), and one min-plus
         pass finds the least; otherwise two passes take the least of
         abs(a_i) + v(b_j) and of v(a_i) + abs(b_j).  The coefficient
@@ -514,8 +514,6 @@ class PadicSeries:
         r = _relative_precision(a_vals, a_abss)
         if r is not None:
             abss = _min_plus(a_vals, [min(r + v, a) for v, a in zip(b_vals, b_abss)])
-        elif (r := _relative_precision(b_vals, b_abss)) is not None:
-            abss = _min_plus([min(r + v, a) for v, a in zip(a_vals, a_abss)], b_vals)
         else:
             abss = list(
                 map(min, _min_plus(a_abss, b_vals), _min_plus(a_vals, b_abss))

@@ -53,11 +53,11 @@ def series_balls(draw, p, max_len=8):
 @st.composite
 def uniform_series(draw, p, length=None):
     """A PadicSeries of up to 48 wide coefficients, a quarter of them exact
-    zeros, whose unit forms share one relative precision (1..60): an
-    operand a product passes over once.  In "unknown" mode the rest are
-    ``O(p^k)`` (relative precision 0, uniform too); in "broken" mode one
-    coefficient in eight is, among the unit forms, which makes the series
-    non-uniform again."""
+    zeros, whose unit forms share one relative precision (1..60): as the
+    left operand, one a product passes over once.  In "unknown" mode the
+    rest are ``O(p^k)`` (relative precision 0, uniform too); in "broken"
+    mode one coefficient in eight is, among the unit forms, which makes the
+    series non-uniform again."""
     mode = draw(st.sampled_from(["units", "units", "unknown", "broken"]))
     prec = draw(st.integers(1, 60))
     units = st.integers(1, p**prec - 1).map(lambda u: u + 1 if u % p == 0 else u)
@@ -77,7 +77,8 @@ def uniform_series(draw, p, length=None):
 @st.composite
 def uniform_product_cases(draw):
     """A uniform operand on one side of ``*`` and, on the other, a uniform
-    or a mixed-precision one, of independent lengths."""
+    or a mixed-precision one, of independent lengths.  A uniform left
+    operand takes the one-pass path; a mixed one, the two passes."""
     p = draw(st.sampled_from([2, 3, 5, 7, 11]))
     f = draw(uniform_series(p))
     mixed = series_balls(p, max_len=48).map(lambda x: x[0])
