@@ -1,15 +1,18 @@
 """Small exact number-theory helpers shared across the package.
 
 Everything is plain arbitrary-precision integer arithmetic: primality
-(deterministic Miller-Rabin below psi_12, Baillie-PSW above), trial-division
-/ Brent-rho factorization with an explicit work budget, Moebius values
-(cached), divisor lists and p-adic valuations of integers.
+(deterministic Miller-Rabin below psi_12, Baillie-PSW above), factorization
+(trial division by the primes below 10^4, then Brent's rho under a budget
+counted in Brent steps, with each prime found divided out of the cofactor at
+once), Moebius values (cached), divisor lists and p-adic valuations of
+integers.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import compress
 
 from .errors import DomainError, FactorizationTimeoutError
 
@@ -21,6 +24,9 @@ _PSI_12 = 318665857834031151167461
 
 #: Total Brent-rho work allowed per factorization call before giving up.
 DEFAULT_FACTOR_BUDGET = 2_000_000
+
+#: Trial division runs over the primes below this bound.
+_TRIAL_LIMIT = 10_000
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -166,10 +172,11 @@ def _rho_brent(n: int, budget: int) -> tuple[int | None, int]:
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(128, r - k)):
+                block = min(128, r - k)
+                for _ in range(block):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                spent += min(128, r - k)
+                    q = q * (x - y) % n  # the sign of x - y leaves gcd(q, n) alone
+                spent += block
                 if spent > budget:
                     return None, spent
                 g = math.gcd(q, n)
@@ -180,7 +187,7 @@ def _rho_brent(n: int, budget: int) -> tuple[int | None, int]:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
                 spent += 1
                 if spent > budget:
                     return None, spent
@@ -189,44 +196,64 @@ def _rho_brent(n: int, budget: int) -> tuple[int | None, int]:
     return None, spent
 
 
+@lru_cache(maxsize=1)
+def _trial_primes() -> tuple[int, ...]:
+    """The primes below _TRIAL_LIMIT, sieved on first use."""
+    flags = bytearray([1]) * _TRIAL_LIMIT
+    flags[:2] = b"\x00\x00"
+    for q in range(2, math.isqrt(_TRIAL_LIMIT - 1) + 1):
+        if flags[q]:
+            flags[q * q :: q] = bytes(len(range(q * q, _TRIAL_LIMIT, q)))
+    return tuple(compress(range(_TRIAL_LIMIT), flags))
+
+
 def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}.
 
-    Trial division by small primes first, then Brent's rho on what is left.
-    ``budget`` caps the total rho work; exceeding it raises
+    Trial division by the primes below 10^4 first, then Brent's rho on what
+    is left.  Each prime found past trial division is divided out of every
+    later cofactor at once, with its full multiplicity, so a large prime
+    that divides n many times costs one rho run.  ``budget`` caps the total
+    rho work, counted in Brent steps; exceeding it raises
     FactorizationTimeoutError carrying the partial factorization and the
-    unfactored cofactor, so the failure is explicit rather than silent.
+    unfactored cofactor, whose product is n, so the failure is explicit
+    rather than silent.
     """
     if n < 1:
         raise DomainError(f"cannot factor {n}; need a positive integer")
     out: dict[int, int] = {}
-    for q in range(2, 10_000):
+    for q in _trial_primes():
         if q * q > n:
             break
         while n % q == 0:
             out[q] = out.get(q, 0) + 1
             n //= q
-    if n == 1:
-        return out
     stack = [n]
     remaining = budget
     while stack:
         m = stack.pop()
+        for q in out:  # the trial primes are gone; a prime rho found may recur
+            if m % q == 0:
+                e = v_p(m, q)
+                out[q] += e
+                m //= q**e
         if m == 1:
             continue
         if is_prime(m):
-            out[m] = out.get(m, 0) + 1
+            out[m] = 1
             continue
         f, spent = _rho_brent(m, remaining)
         remaining -= spent
         if f is None or f in (1, m):
+            cofactor = m * math.prod(stack)
             raise FactorizationTimeoutError(
-                f"factorization budget exhausted with cofactor {m}",
+                f"factorization budget of {budget} Brent steps spent with "
+                f"cofactor {cofactor}",
                 partial=out,
-                cofactor=m,
+                cofactor=cofactor,
             )
-        stack.append(f)
         stack.append(m // f)
+        stack.append(f)
     return out
 
 

@@ -576,7 +576,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (FactorizationTimeoutError, DigitLimitError) as exc:
+    except FactorizationTimeoutError as exc:
+        print(f"error: {exc}; raise --factor-budget", file=sys.stderr)
+        return EXIT_BOUND_EXHAUSTED
+    except DigitLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND_EXHAUSTED
     except PrecisionError as exc:

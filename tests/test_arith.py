@@ -1,17 +1,25 @@
-"""Primality (deterministic bases below psi_12, Baillie-PSW above), p-adic
-valuations of integers and the shared integer argument check."""
+"""Primality (deterministic bases below psi_12, Baillie-PSW above),
+factorization, p-adic valuations of integers and the shared integer
+argument check."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nadescent.arith import _strong_lucas_probable_prime, factorize, is_prime, v_p
+from nadescent.arith import (
+    _strong_lucas_probable_prime,
+    _trial_primes,
+    factorize,
+    is_prime,
+    v_p,
+)
 from nadescent.descent_arith import enlarged_prime_set
-from nadescent.errors import DomainError, check_int
+from nadescent.errors import DomainError, FactorizationTimeoutError, check_int
 
 from .oracles import (
     PSI,
@@ -25,6 +33,9 @@ from .oracles import (
 PSI_12 = PSI[11]
 # Mersenne primes past psi_12, where Baillie-PSW decides
 LARGE_PRIMES = (2**89 - 1, 2**107 - 1, 2**127 - 1)
+# Primes between 10^4 and 2^31, past trial division, so only rho finds them
+RHO_PRIMES = (10_007, 65_537, 104_723, 104_729, 916_109, 21_627_713, 2**31 - 1)
+TRIAL_PRIMES = sieve_primes(10_000)
 
 
 class TestIsPrime:
@@ -81,6 +92,48 @@ class TestIsPrime:
             assert is_prime(q), q
         for n in range(PSI_12 - 2000, PSI_12 + 2000):
             assert is_prime(n) == sympy.isprime(n), n
+
+
+class TestFactorize:
+    def test_trial_division_runs_over_the_primes_below_ten_to_the_four(self):
+        assert _trial_primes() == tuple(TRIAL_PRIMES)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        exponents=st.dictionaries(
+            st.one_of(st.sampled_from(RHO_PRIMES), st.sampled_from(TRIAL_PRIMES)),
+            st.integers(1, 9),
+            max_size=5,
+        )
+    )
+    def test_recovers_every_prime_power(self, exponents):
+        n = math.prod(q**e for q, e in exponents.items())
+        assert factorize(n) == exponents
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        exponents=st.dictionaries(
+            st.one_of(st.sampled_from(RHO_PRIMES), st.sampled_from(TRIAL_PRIMES)),
+            st.integers(1, 9),
+            max_size=5,
+        ),
+        budget=st.sampled_from([1, 50, 500, 5_000]),
+    )
+    def test_an_exhausted_budget_accounts_for_all_of_n(self, exponents, budget):
+        n = math.prod(q**e for q, e in exponents.items())
+        try:
+            assert factorize(n, budget) == exponents
+        except FactorizationTimeoutError as exc:
+            partial, cofactor = exc.partial, exc.cofactor
+            assert math.prod(q**e for q, e in partial.items()) * cofactor == n
+            assert all(is_prime(q) for q in partial)
+            assert not is_prime(cofactor)
+
+    def test_one_and_small_primes(self):
+        assert factorize(1) == {}
+        assert factorize(9_973) == {9_973: 1}
+        assert factorize(2 * 9_973) == {2: 1, 9_973: 1}
+        assert factorize(10_007**2) == {10_007: 2}
 
 
 class TestValuation:

@@ -364,6 +364,25 @@ class TestOrder:
         assert code == 3
         assert "budget" in err
 
+    def test_budget_refusal_names_the_flag_and_the_budget_spent(self):
+        code, out, err = invoke_cli(
+            ["order", "--p", "5", "--g", "1", "--count-fp", str(104_729 * 104_723),
+             "--modulus-exponent", "1", "--enlarge", "", "--factor-budget", "7"]
+        )
+        assert (code, out) == (3, "")
+        assert "budget of 7 Brent steps" in err
+        assert "raise --factor-budget" in err
+
+    def test_a_repeated_large_prime_fits_a_small_factor_budget(self):
+        # N holds 916109^9; the prime is found once, so 5000 Brent steps
+        # cover what finding it nine times used to run out of
+        argv = ["order", "--p", "916109", "--genus", "3",
+                "--count-fp", "770710125157448144", "--modulus-exponent", "4",
+                "--enlarge", "5,11"]
+        code, out, _ = invoke_cli(argv + ["--factor-budget", "5000"])
+        assert (code, out) == invoke_cli(argv)[:2]
+        assert code == 0
+
 
 class TestDescentSim:
     def test_staircase_fixture(self):
