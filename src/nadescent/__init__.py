@@ -2,9 +2,10 @@
 
 A pipeline of exact-integer and capped-precision p-adic computations:
 graded Lie-algebra dimension tables, Selmer/de-Rham bound tables with their
-halting level, iterated-integral observables, Newton-polygon zero isolation
-with a separation modulus, local annihilators with prime-set enlargement,
-and a two-sided search driver that runs until its two enumerations agree.
+halting level, iterated-integral observables, zero isolation by Strassmann
+counts with a separation modulus, local annihilators with prime-set
+enlargement, and a two-sided search driver that runs until its two
+enumerations agree.
 
 The root namespace holds what the demos use and the error families the
 command line maps onto exit codes; everything else is imported from its

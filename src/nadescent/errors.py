@@ -39,14 +39,9 @@ class PrecisionError(NadescentError):
     """Base class for failures caused by finite p-adic precision."""
 
 
-class AllZeroPolygonError(PrecisionError):
-    """Every tracked coefficient is indistinguishable from zero, so no
-    Newton polygon exists."""
-
-
-class HullPrecisionError(PrecisionError):
-    """A coefficient known only as ``O(p^k)`` could change the Newton
-    polygon, so root counts would be guesses."""
+class RootCountPrecisionError(PrecisionError):
+    """The Strassmann count of roots of valuation >= 1 is not certified: no
+    coefficient in scope is known nonzero, or an ``O(p^k)`` could change it."""
 
 
 class IsolationError(PrecisionError):

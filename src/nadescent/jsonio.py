@@ -91,7 +91,7 @@ def _optional(doc: Any, key: str, default: Any = None) -> Any:
 
 
 def _prime(value: Any, path: str) -> int:
-    """A prime p: residue classes and Newton polygons need F_p to be a field."""
+    """A prime p: residue classes and root counts need F_p to be a field."""
     p = parse_int(value, path)
     if not is_prime(p):
         raise DomainError(f"{path}: {p} is not prime")

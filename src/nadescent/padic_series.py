@@ -1,8 +1,9 @@
-"""Capped-precision p-adic arithmetic, Newton polygons, and zero isolation.
+"""Capped-precision p-adic arithmetic, Strassmann root counts, and zero
+isolation.
 
 The central objects are :class:`PadicNumber` (a p-adic number tracked to a
 finite number of significant digits) and :class:`PadicSeries` (a truncated
-power series with such coefficients).  On top of them sit the Newton-polygon
+power series with such coefficients).  On top of them sit the Strassmann
 root counts and the residue-disk subdivision that isolates the zeros of a
 series on Z_p to some finite depth M -- the separation modulus consumed
 downstream.
@@ -24,8 +25,8 @@ with precision k, the exact zero 0 with precision +inf.
 Arithmetic never invents digits: each output is known to the least
 precision among the terms that feed it (the capped-absolute model of
 Caruso, Roe & Vaccon, 2014); cancellation degrades a sum to ``O(p^k)``
-rather than guessing its valuation.  Every consumer of a polygon or a root
-count either receives a certified answer or an explicit precision error.
+rather than guessing its valuation.  Every consumer of a root count either
+receives a certified answer or an explicit precision error.
 
 In relative form, with rel = abs - v (0 for ``O(p^k)``): a product term
 a_i b_j with neither factor an exact zero is known to
@@ -35,7 +36,7 @@ the least such abs over i + j = d.
 Zero walk
 ---------
 Zeros on Z_p are isolated by walking residue classes, each shifted to the
-origin and counted by its Newton polygon.  A class on which p^-v f (v the
+origin and counted by Strassmann's theorem.  A class on which p^-v f (v the
 least valuation at or below the Weierstrass bound) reduces mod p to a
 nonzero constant holds no zero and is dropped without a shift.
 
@@ -45,10 +46,10 @@ A truncated series cannot know, by itself, that its visible coefficients
 determine its zeros on the closed unit disk.  That analytic fact must be
 supplied by the caller as ``weierstrass_bound`` (d*): all zeros of the
 represented function with valuation >= 0 are governed by coefficient indices
-i <= d*.  For an honest polynomial, d* is its degree.  Polygon construction
-and root counting refuse to run without it, and a series refuses a bound its
-visible coefficients refute: a unit-form c_i with i > d* whose valuation is
-at most every certified valuation floor at or below d*.
+i <= d*.  For an honest polynomial, d* is its degree.  The Strassmann count
+refuses to run without it, and a series refuses a bound its visible
+coefficients refute: a unit-form c_i with i > d* whose valuation is at most
+every certified valuation floor at or below d*.
 """
 
 from __future__ import annotations
@@ -64,13 +65,12 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .arith import v_p
 from .errors import (
-    AllZeroPolygonError,
     DomainError,
-    HullPrecisionError,
     IsolationError,
     MultipleRootSuspectedError,
     PrecisionExhaustedError,
     PrimeMismatchError,
+    RootCountPrecisionError,
     check_int,
 )
 
@@ -650,117 +650,48 @@ def _series(p: int, base: int, ints: list, abss: list, bound=None) -> PadicSerie
 
 
 # ---------------------------------------------------------------------------
-# Newton polygons
+# Strassmann counts and zero isolation on residue disks
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
-    """Lower convex hull of the known coefficient points (i, v(c_i)).
+def newton_polygon(f: PadicSeries) -> tuple[int, int]:
+    """Strassmann's count for f over the indices i <= weierstrass_bound: the
+    vertex (I, m) where the line of slope -1 last touches the Newton polygon.
 
-    ``origin_order`` is the number of leading indices (below the first
-    coefficient of known valuation) certified to contribute one root of
-    valuation >= 1 each -- exact-zero leading coefficients and unknown-zero
-    coefficients whose bound clears the slope -1 line.  Construction fails
-    rather than return a polygon whose valuation >= 1 root count could be
-    changed by an unknown coefficient.
-    """
-
-    vertices: tuple[tuple[int, int], ...]
-    origin_order: int
-
-    def positive_valuation_root_count(self) -> int:
-        count = self.origin_order
-        for (x1, y1), (x2, y2) in zip(self.vertices, self.vertices[1:]):
-            if y1 - y2 >= x2 - x1:  # slope <= -1, as x2 > x1
-                count += x2 - x1
-        return count
-
-
-def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    hull: list[tuple[int, int]] = []
-    for q in points:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (q[0] - x1) >= (q[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(q)
-    return hull
-
-
-def _hull_height_excess(hull: list[tuple[int, int]], i: int, k: int) -> bool:
-    """True when the hull at abscissa i lies strictly above level k.
-
-    An ``O(p^k)`` coefficient is never a vertex, so an i inside the hull's
-    range lies strictly between two vertices."""
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        if x1 <= i <= x2:
-            # k < y1 + (y2 - y1) (i - x1) / (x2 - x1), cross-multiplied
-            return k * (x2 - x1) < y1 * (x2 - x1) + (y2 - y1) * (i - x1)
-    raise AssertionError("abscissa outside hull range")  # pragma: no cover
-
-
-def newton_polygon(f: PadicSeries) -> NewtonPolygon:
-    """Newton polygon of f over indices i <= weierstrass_bound.
-
-    Coefficients in unit form contribute exact points; exact zeros
-    contribute nothing; ``O(p^k)`` coefficients contribute only the
-    constraint v >= k and must be provably unable to alter the count of
-    valuation >= 1 roots, else HullPrecisionError.
+    m is the least v(c_i) + i over the c_i in scope known to be nonzero, and
+    I, the largest i attaining it, is the Weierstrass degree of f(pz) on the
+    closed unit disk: the number of roots of f of valuation >= 1, with
+    multiplicity, over the algebraic closure.  An ``O(p^k)`` at index i could
+    move the vertex exactly when k + i < m, or k + i = m with i > I; then, as
+    when no c_i in scope is known to be nonzero, the count is refused.
     """
     if f.weierstrass_bound is None:
         raise DomainError(
             "series carries no weierstrass bound; root location needs the "
             "caller's analytic guarantee"
         )
-    points, unknowns = [], []
-    for i, (x, v) in enumerate(zip(f.ints, f.vals()[: f.weierstrass_bound + 1])):
+    p, scope = f.p, f.ints[: f.weierstrass_bound + 1]
+    top, m = None, _INF
+    for i, x in enumerate(scope):
         if x:
-            points.append((i, v))
-        elif v < _INF:
-            unknowns.append((i, v))
-    if not points:
-        raise AllZeroPolygonError(
-            "all coefficients in scope are indistinguishable from zero"
-        )
-    hull = _lower_hull(points)
-    i_min, v_min = hull[0]
-    i_max = hull[-1][0]
-    peak = max(v + i for i, v in hull)
-    for i, k in unknowns:
-        if i < i_min:
-            if k < v_min + (i_min - i):
-                raise HullPrecisionError(
-                    f"coefficient {i} known only to O(p^{k}) could add roots "
-                    f"of valuation < 1 left of the hull"
-                )
-        elif i <= i_max:
-            if _hull_height_excess(hull, i, k):
-                raise HullPrecisionError(
-                    f"coefficient {i} known only to O(p^{k}) could lie below "
-                    f"the hull"
-                )
-        else:
-            if k <= peak - i:
-                raise HullPrecisionError(
-                    f"coefficient {i} known only to O(p^{k}) could extend the "
-                    f"hull with slope <= -1"
-                )
-    return NewtonPolygon(vertices=tuple(hull), origin_order=i_min)
+            h = i + v_p(x, p)
+            if h <= m:
+                top, m = i, h
+    if top is None:
+        raise RootCountPrecisionError("no coefficient in scope is known nonzero")
+    m += f.base
+    for i, (x, k) in enumerate(zip(scope, f.abss)):
+        if not x and (k + i < m or k + i == m and i > top):
+            raise RootCountPrecisionError(
+                f"coefficient {i} known only to O(p^{k}) could change the count"
+            )
+    return top, m
 
 
 def root_count_positive_valuation(f: PadicSeries) -> int:
-    """Number of roots (with multiplicity, algebraic closure) of valuation
-    >= 1, read off the polygon: origin order plus the horizontal length of
-    all hull segments of slope <= -1."""
-    return newton_polygon(f).positive_valuation_root_count()
-
-
-# ---------------------------------------------------------------------------
-# Zero isolation on residue disks
-# ---------------------------------------------------------------------------
+    """Number of roots of f (with multiplicity, over the algebraic closure)
+    of valuation >= 1: the Strassmann count I of :func:`newton_polygon`."""
+    return newton_polygon(f)[0]
 
 
 class SeparationStatus(str, Enum):
@@ -799,7 +730,7 @@ class IsolationFailure:
 
 def _newton_certified(f: PadicSeries, f_deriv: PadicSeries, center: int) -> bool:
     # v(f(c)) > 2 v(f'(c)) pins a unique simple root next to c; combined with
-    # the polygon count of 1 this certifies the class.
+    # a Strassmann count of 1 this certifies the class.
     b = f_deriv.evaluate(center)
     if b.unit is None:
         return False
@@ -862,22 +793,17 @@ def _isolate_classes(
         depth = len(child)
         try:
             count = root_count_positive_valuation(shifted)
-        except (AllZeroPolygonError, HullPrecisionError):
-            failures.append(
-                IsolationFailure(
-                    chart_id, child, depth, SeparationStatus.PRECISION_EXHAUSTED, None
-                )
-            )
-            continue
+        except RootCountPrecisionError:
+            count = None  # a refused count fails the class at any depth
         if count == 0:
             continue
         if count == 1 and _newton_certified(f, f_deriv, child_center):
             disks.append(ZeroDisk(chart_id, child, depth, 1, False))
             continue
-        if depth >= depth_cap:
+        if count is None or depth >= depth_cap:
             reason = (
                 SeparationStatus.MULTIPLE_ROOT_SUSPECTED
-                if count >= 2
+                if count and count >= 2
                 else SeparationStatus.PRECISION_EXHAUSTED
             )
             failures.append(IsolationFailure(chart_id, child, depth, reason, count))
@@ -897,7 +823,7 @@ def isolate_zeros(
 
     Residue classes are explored depth-first in digit order.  A class on
     which p^-v f reduces mod p to a nonzero constant is dropped without a
-    shift (see :func:`_live_residues`), and so is a class whose polygon
+    shift (see :func:`_live_residues`), and so is a class whose Strassmann
     count is 0; a class counting exactly 1 is emitted as soon as a Newton
     contraction certifies the (necessarily simple, necessarily
     Q_p-rational) root; anything still ambiguous at ``depth_cap`` raises,

@@ -20,6 +20,10 @@ mathematics or brute force than the library under test:
   product), which runs on the stored coefficient integers, is checked
   against a loop that chains one ``PadicNumber`` operation per term, so
   that every intermediate result is rounded by the scalar arithmetic.
+* The Strassmann count of roots of valuation >= 1 is checked against the
+  lower convex hull of the Newton polygon, with the hull's own stricter
+  refusal rule, and against the hull's count on every brute-force
+  completion of the ``O(p^k)`` coefficients in scope.
 * The residue-class walk of zero isolation is checked against a plain
   recursion, one call per depth level, in place of the explicit stack,
   that shifts every residue class.
@@ -30,6 +34,7 @@ mathematics or brute force than the library under test:
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -37,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from nadescent.errors import AllZeroPolygonError, HullPrecisionError
+from nadescent.errors import DomainError, RootCountPrecisionError
 from nadescent.padic_series import (
     IsolationFailure,
     PadicNumber,
@@ -433,6 +438,94 @@ def series_mul_by_objects(f, g):
 
 
 # ---------------------------------------------------------------------------
+# Root counts by the lower convex hull, and completions of O(p^k)
+# ---------------------------------------------------------------------------
+
+
+def _lower_hull(points: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    hull: List[Tuple[int, int]] = []
+    for q in points:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (q[0] - x1) >= (q[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(q)
+    return hull
+
+
+def _hull_above(hull: List[Tuple[int, int]], i: int, k: int) -> bool:
+    """True when the hull at abscissa i, strictly inside its range, lies
+    strictly above level k."""
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        if x1 <= i <= x2:
+            # k < y1 + (y2 - y1) (i - x1) / (x2 - x1), cross-multiplied
+            return k * (x2 - x1) < y1 * (x2 - x1) + (y2 - y1) * (i - x1)
+    raise AssertionError("abscissa outside hull range")
+
+
+def root_count_by_hull(f) -> int:
+    """Roots of valuation >= 1 of f, read off the Newton polygon over the
+    indices i <= weierstrass_bound: the lower convex hull of the points
+    (i, v(c_i)) of the unit-form coefficients.  The count is the index of
+    the first point (one root per leading zero) plus the length of every
+    edge of slope <= -1.
+
+    Refuses (RootCountPrecisionError) when no coefficient in scope has unit
+    form, and wherever an ``O(p^k)`` could move any part of the hull: left
+    of the first point, below the line of slope -1 through it; strictly
+    below an edge; or right of the last point, on or below the line of
+    slope -1 through the vertex of largest v + i.
+    """
+    scope = f.coeffs[: f.weierstrass_bound + 1]
+    points = [(i, c.val) for i, c in enumerate(scope) if c.unit is not None]
+    unknowns = [(i, c.val) for i, c in enumerate(scope) if c.is_unknown_zero()]
+    if not points:
+        raise RootCountPrecisionError("no unit-form coefficient in scope")
+    hull = _lower_hull(points)
+    (i_min, v_min), i_max = hull[0], hull[-1][0]
+    peak = max(v + i for i, v in hull)
+    for i, k in unknowns:
+        if (
+            i < i_min and k < v_min + (i_min - i)
+            or i_min < i < i_max and _hull_above(hull, i, k)
+            or i > i_max and k <= peak - i
+        ):
+            raise RootCountPrecisionError(f"O(p^{k}) at {i} could move the hull")
+    count = i_min
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        if y1 - y2 >= x2 - x1:  # slope <= -1, as x2 > x1
+            count += x2 - x1
+    return count
+
+
+def completions(f, extra: int = 3):
+    """Every fully known series f may stand for, up to valuation k + extra:
+    each ``O(p^k)`` at or below the Weierstrass bound becomes the exact zero
+    or u p^j for j = k .. k + extra and u among 1, 2 and p - 1.  A
+    completion whose own coefficients refute the bound is not a function
+    the bound allows, and is left out."""
+    p, bound = f.p, f.weierstrass_bound
+    units = sorted({u for u in (1, 2, p - 1) if u % p})
+    choices = []
+    for i, c in enumerate(f.coeffs):
+        if i <= bound and c.is_unknown_zero():
+            choices.append([PadicNumber.zero(p)] + [
+                PadicNumber(p, j, u, 1)
+                for j in range(c.val, c.val + extra + 1)
+                for u in units
+            ])
+        else:
+            choices.append([c])
+    for coeffs in itertools.product(*choices):
+        try:
+            yield PadicSeries(p, coeffs, bound)
+        except DomainError:
+            continue
+
+
+# ---------------------------------------------------------------------------
 # Zero isolation by recursion
 # ---------------------------------------------------------------------------
 
@@ -463,7 +556,7 @@ def isolate_classes_by_recursion(f, chart_id: str, depth_cap: int):
             depth = len(child)
             try:
                 count = root_count_positive_valuation(shifted)
-            except (AllZeroPolygonError, HullPrecisionError):
+            except RootCountPrecisionError:
                 failures.append(
                     IsolationFailure(
                         chart_id, child, depth,

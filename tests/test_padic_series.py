@@ -1,4 +1,4 @@
-"""Series arithmetic, Newton polygons, zero isolation, separation reports."""
+"""Series arithmetic, Strassmann counts, zero isolation, separation reports."""
 
 from __future__ import annotations
 
@@ -18,11 +18,10 @@ from nadescent import (
     separation_modulus,
 )
 from nadescent.errors import (
-    AllZeroPolygonError,
-    HullPrecisionError,
     MultipleRootSuspectedError,
     PrecisionExhaustedError,
     PrimeMismatchError,
+    RootCountPrecisionError,
 )
 from nadescent.padic_series import (
     Chart,
@@ -33,7 +32,12 @@ from nadescent.padic_series import (
     newton_polygon,
 )
 
-from .oracles import class_has_no_root_by_objects, isolate_classes_by_recursion
+from .oracles import (
+    class_has_no_root_by_objects,
+    completions,
+    isolate_classes_by_recursion,
+    root_count_by_hull,
+)
 
 
 def S(ints, p=5, prec=20, wb="auto"):
@@ -159,23 +163,22 @@ class TestSeriesArithmetic:
 
 
 class TestNewtonPolygon:
+    """``newton_polygon`` returns the Strassmann vertex (I, m): m the least
+    v(c_i) + i over the known nonzero c_i in scope, I the largest i
+    attaining it and the count of roots of valuation >= 1."""
+
     def test_z_squared_minus_p(self):
-        poly = newton_polygon(S([-5, 0, 1]))
-        assert poly.vertices == ((0, 1), (2, 0))
-        assert poly.origin_order == 0
-        assert poly.positive_valuation_root_count() == 0
+        assert newton_polygon(S([-5, 0, 1])) == (0, 1)
+        assert root_count_positive_valuation(S([-5, 0, 1])) == 0
 
     def test_z_squared_minus_z(self):
-        poly = newton_polygon(S([0, -1, 1]))
-        assert poly.vertices == ((1, 0), (2, 0))
-        assert poly.origin_order == 1
-        assert poly.positive_valuation_root_count() == 1
+        assert newton_polygon(S([0, -1, 1])) == (1, 1)
+        assert root_count_positive_valuation(S([0, -1, 1])) == 1
 
     def test_z_times_z_minus_p(self):
-        poly = newton_polygon(S([0, -5, 1]))
-        assert poly.vertices == ((1, 1), (2, 0))
-        assert poly.origin_order == 1
-        assert poly.positive_valuation_root_count() == 2
+        # the tie v + i = 2 at i = 1 and i = 2 goes to the larger index
+        assert newton_polygon(S([0, -5, 1])) == (2, 2)
+        assert root_count_positive_valuation(S([0, -5, 1])) == 2
 
     def test_constant_one(self):
         assert root_count_positive_valuation(S([1])) == 0
@@ -185,7 +188,7 @@ class TestNewtonPolygon:
         assert root_count_positive_valuation(S([0, 0, -5, 1])) == 3
 
     def test_all_zero_polygon(self):
-        with pytest.raises(AllZeroPolygonError):
+        with pytest.raises(RootCountPrecisionError):
             newton_polygon(PadicSeries.constant(5, 0, 2))
 
     def test_missing_bound_is_a_domain_error(self):
@@ -196,7 +199,12 @@ class TestNewtonPolygon:
     def test_bound_restricts_scope(self):
         # with d* = 1 the z^2 coefficient is outside the zero-governing range
         f = PadicSeries.from_int_coeffs(5, [0, -1, 5], weierstrass_bound=1)
-        assert newton_polygon(f).vertices == ((1, 0),)
+        assert newton_polygon(f) == (1, 1)
+        # an O(p^k) beyond d* is never consulted, however low its k
+        unit, unknown = PadicNumber.from_int(5, 1), PadicNumber.zero_to(5, -5)
+        assert newton_polygon(PadicSeries(5, (unit, unknown), 0)) == (0, 0)
+        with pytest.raises(RootCountPrecisionError):
+            newton_polygon(PadicSeries(5, (unit, unknown), 1))
 
     @pytest.mark.parametrize(
         "coeffs, bound, refuted",
@@ -230,41 +238,45 @@ class TestNewtonPolygon:
             PadicNumber.zero_to(5, 0),
             PadicNumber.from_int(5, 1),
         )
-        with pytest.raises(HullPrecisionError):
+        with pytest.raises(RootCountPrecisionError):
             newton_polygon(PadicSeries(5, coeffs, 2))
 
     def test_unknown_zero_on_hull_boundary_is_fine(self):
+        # O(5) z meets the line v + i = 2 left of I = 2: the count stands
         coeffs = (
             PadicNumber.from_int(5, 25),
             PadicNumber.zero_to(5, 1),
             PadicNumber.from_int(5, 1),
         )
-        poly = newton_polygon(PadicSeries(5, coeffs, 2))
-        assert poly.positive_valuation_root_count() == 2
+        assert newton_polygon(PadicSeries(5, coeffs, 2)) == (2, 2)
+        assert root_count_positive_valuation(PadicSeries(5, coeffs, 2)) == 2
 
     def test_leading_unknown_zero_rules(self):
         unit = PadicNumber.from_int(5, 1)
         low = PadicSeries(5, (PadicNumber.zero_to(5, 0), unit), 1)
-        with pytest.raises(HullPrecisionError):
+        with pytest.raises(RootCountPrecisionError):
             newton_polygon(low)
         ok = PadicSeries(5, (PadicNumber.zero_to(5, 1), unit), 1)
-        poly = newton_polygon(ok)
-        assert poly.origin_order == 1
-        assert poly.positive_valuation_root_count() == 1
+        assert newton_polygon(ok) == (1, 1)
+        assert root_count_positive_valuation(ok) == 1
 
     def test_trailing_unknown_zero_rules(self):
         unit = PadicNumber.from_int(5, 1)
-        bad = PadicSeries(5, (unit, unit, PadicNumber.zero_to(5, -1)), 2)
-        with pytest.raises(HullPrecisionError):
-            newton_polygon(bad)
-        fine = PadicSeries(5, (unit, unit, PadicNumber.zero_to(5, 0)), 2)
-        assert newton_polygon(fine).positive_valuation_root_count() == 0
+
+        def tail(k):
+            return PadicSeries(5, (unit, unit, PadicNumber.zero_to(5, k)), 2)
+
+        # m = 0 at I = 0; O(5^k) z^2 could move the vertex only if k + 2 <= 0
+        for k in (-3, -2):
+            with pytest.raises(RootCountPrecisionError):
+                newton_polygon(tail(k))
+        for k in (-1, 0):
+            assert root_count_positive_valuation(tail(k)) == 0
 
     def test_exact_zero_leading_coefficients_count_as_roots(self):
         # z^3 * unit: all three origin roots certified by exact zeros
-        poly = newton_polygon(S([0, 0, 0, 7]))
-        assert poly.origin_order == 3
-        assert poly.positive_valuation_root_count() == 3
+        assert newton_polygon(S([0, 0, 0, 7])) == (3, 3)
+        assert root_count_positive_valuation(S([0, 0, 0, 7])) == 3
 
 
 class TestIsolateZeros:
@@ -386,7 +398,11 @@ class TestResiduePrefilter:
         ]
 
     def test_a_coefficient_unknown_mod_p_keeps_the_refusals(self):
-        # 1 + O(5^0) z + 5 z^2: the linear coefficient is not known mod 5
+        # 1 + O(5^0) z + 5 z^2: the linear coefficient is not known mod 5,
+        # so every class is shifted; on class 0 the unit constant term
+        # fixes m = 0 and O(5^0) z lies above it, so the Strassmann count
+        # certifies that class empty, while every other shift mixes the
+        # unknown into the constant term and is refused
         coeffs = (
             PadicNumber.from_int(5, 1),
             PadicNumber.zero_to(5, 0),
@@ -397,7 +413,7 @@ class TestResiduePrefilter:
         assert [
             (x.center_digits, x.reason, x.residual_count)
             for x in exc.value.failures
-        ] == [((c,), SeparationStatus.PRECISION_EXHAUSTED, None) for c in range(5)]
+        ] == [((c,), SeparationStatus.PRECISION_EXHAUSTED, None) for c in range(1, 5)]
 
     def test_an_unknown_coefficient_beyond_the_bound_keeps_the_refusals(self):
         # 1 + z + O(5^0) z^2 with bound 1: the shift by c mixes the unknown
@@ -415,7 +431,8 @@ class TestResiduePrefilter:
 
     def test_a_needless_refusal_becomes_a_certified_answer(self):
         # 1 + O(5) z + 5^10 z^2 is 1 mod 5, so it has no zero on Z_5; the
-        # polygon alone refuses every class, its hull passing above O(5)
+        # residue filter drops every class, and the Strassmann count would
+        # certify each one empty too (O(5) z lies above m = 0)
         coeffs = (
             PadicNumber.from_int(5, 1),
             PadicNumber.zero_to(5, 1),
@@ -593,3 +610,62 @@ class TestResidueWalk:
             if enabled:
                 gc.enable()
         assert len(disks) == 2
+
+
+@st.composite
+def count_cases(draw):
+    """A series over p in {2, 3, 5, 7} of degree <= 5, each coefficient the
+    exact zero, ``O(p^k)`` or a unit form u p^v, under a Weierstrass bound
+    its coefficients do not refute."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    coeffs = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["zero", "ztp", "ztp", "unit", "unit"]))
+        if kind == "zero":
+            coeffs.append(PadicNumber.zero(p))
+        elif kind == "ztp":
+            coeffs.append(PadicNumber.zero_to(p, draw(st.integers(-2, 4))))
+        else:
+            unit = draw(st.integers(1, p**3 - 1).filter(lambda u: u % p))
+            coeffs.append(PadicNumber(p, draw(st.integers(-2, 4)), unit, 3))
+    try:
+        return PadicSeries(p, coeffs, draw(st.integers(0, len(coeffs) - 1)))
+    except DomainError:
+        assume(False)
+
+
+class TestStrassmannCount:
+    """The scan against the hull it replaced and against brute force."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(f=count_cases())
+    def test_the_scan_answers_wherever_the_hull_does_and_agrees(self, f):
+        try:
+            want = root_count_by_hull(f)
+        except RootCountPrecisionError:
+            return  # the hull refuses more often; the scan may answer
+        assert root_count_positive_valuation(f) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=count_cases())
+    def test_a_certified_count_holds_on_every_completion(self, f):
+        try:
+            count = root_count_positive_valuation(f)
+        except RootCountPrecisionError:
+            return
+        seen = 0
+        for g in completions(f):
+            assert root_count_by_hull(g) == count
+            seen += 1
+        # each O(p^k) completed as p^k keeps every floor, so the bound stands
+        assert seen
+
+    def test_a_refusal_the_hull_made_is_now_certified(self):
+        # O(5^-1) z^2 could bend the hull below 1 + z, but not below the
+        # line of slope -1 through the unit constant term
+        unit = PadicNumber.from_int(5, 1)
+        f = PadicSeries(5, (unit, unit, PadicNumber.zero_to(5, -1)), 2)
+        with pytest.raises(RootCountPrecisionError):
+            root_count_by_hull(f)
+        assert root_count_positive_valuation(f) == 0
+        assert {root_count_by_hull(g) for g in completions(f)} == {0}
