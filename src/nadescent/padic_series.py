@@ -57,7 +57,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, mul, sub
@@ -87,7 +86,7 @@ class PadicNumber:
 
     ``PadicNumber(p, val, unit, prec)`` is the unit form ``unit * p^val``
     known modulo ``p^(val + prec)``; the classmethods (:meth:`from_int`,
-    :meth:`from_fraction`, :meth:`zero`, :meth:`zero_to`) build the rest.
+    :meth:`zero`, :meth:`zero_to`) build the rest.
     """
 
     __slots__ = ("p", "val", "unit", "prec")
@@ -132,20 +131,6 @@ class PadicNumber:
             return cls.zero(p)
         v = v_p(n, p)
         return cls(p, v, n // p**v, prec)
-
-    @classmethod
-    def from_fraction(
-        cls, p: int, value: Union[int, Fraction], prec: int = DEFAULT_PRECISION
-    ) -> "PadicNumber":
-        frac = Fraction(value)
-        if frac == 0:
-            return cls.zero(p)
-        num, den = frac.numerator, frac.denominator
-        vn, vd = v_p(num, p), v_p(den, p)
-        nu, de = num // p**vn, den // p**vd
-        mod = p**prec
-        unit = nu * pow(de % mod, -1, mod) % mod
-        return cls(p, vn - vd, unit, prec)
 
     # -- state predicates --------------------------------------------------
 

@@ -6,9 +6,12 @@ Two integer sequences are tracked level by level:
   variety, seeded at level 2 by the Mordell-Weil rank and grown by one
   Galois-cohomology step per level:
 
-      UB(n+1) = UB(n) + minus_dim_bound(n)
-                      + |S| * local_h2_bound(n, bad prime)
-                      + local_h2_bound(n, the good prime p)
+      UB(n+1) = UB(n) + minus(r_n) + (|S| + 1) * n * g^n
+                      + |S| * C(n, 2) * (2g - 2)^2 * g^(n-2)
+
+  where minus(r_n) is the minus part of the degree-n graded piece (see
+  below), n * g^n bounds the local H^2 at the good prime p, and
+  n * g^n + C(n, 2) * (2g - 2)^2 * g^(n-2) the one at each bad prime.
 
 * ``derham_lb`` -- a lower bound for the dimension of the de Rham quotient
   U_n / F^0, seeded at level 2 by g and grown by
@@ -36,11 +39,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .arith import is_prime
 from .errors import DomainError, ParityError, check_int
-from .lie_dims import GradedDims, graded_dims, validate_genus
+from .lie_dims import DEFAULT_LEVEL_CAP, graded_dims, validate_genus
 
 #: Default largest level the bound recursion examines.
 DEFAULT_N_CAP = 64
@@ -125,69 +128,17 @@ class BoundTable:
         }
 
 
-def minus_dim_bound(dims: GradedDims, n: int, mode: ParityMode) -> int:
-    """Contribution of the degree-n graded piece to one upper-bound step."""
-    if n < 1:
-        raise DomainError(f"degree must be >= 1, got {n}")
-    rn = dims.r(n)
+def _minus(rn: int, n: int, mode: ParityMode) -> int:
+    """The minus part of the degree-n graded piece, of dimension r_n."""
     if mode is ParityMode.FAITHFUL:
-        if n % 2 == 1:
-            if rn % 2 != 0:
-                raise ParityError(
-                    f"r_{n}={rn} is odd in odd degree {n}; cannot halve"
-                )
-            return rn // 2
-        return rn
+        if n % 2 == 0:
+            return rn
+        if rn % 2:
+            raise ParityError(f"r_{n}={rn} is odd in odd degree {n}; cannot halve")
+        return rn // 2
     # PAPER_VERBATIM: halve (with ceiling) when the step lands on an odd
     # target level n+1, i.e. when n is even.
-    if n % 2 == 0:
-        return (rn + 1) // 2
-    return rn
-
-
-def local_h2_bound(g: int, n: int, *, bad_prime: bool) -> int:
-    """Upper bound for one local H^2 contribution in degree n, at a prime of
-    bad reduction or at the good working prime p."""
-    validate_genus(g)
-    if n < 1:
-        raise DomainError(f"degree must be >= 1, got {n}")
-    good = n * g**n
-    if not bad_prime:
-        return good
-    pairs = n * (n - 1) // 2
-    if pairs == 0:
-        return good
-    return good + pairs * (2 * g - 2) ** 2 * g ** (n - 2)
-
-
-def h1_step_bound(
-    dims: GradedDims, n: int, s_count: int, mode: ParityMode
-) -> int:
-    """UB(n+1) - UB(n): the full growth allowance when consuming degree n."""
-    if n < 2:
-        raise DomainError(f"bound steps start at degree 2, got {n}")
-    if s_count < 0:
-        raise DomainError(f"|S| must be >= 0, got {s_count}")
-    return (
-        minus_dim_bound(dims, n, mode)
-        + s_count * local_h2_bound(dims.g, n, bad_prime=True)
-        + local_h2_bound(dims.g, n, bad_prime=False)
-    )
-
-
-def _bound_rows(
-    params: CurveParams, dims: GradedDims, n_cap: int, mode: ParityMode
-) -> Iterator[BoundRow]:
-    """Rows (n, UB(n), LB(n)) for n = 2..n_cap, each step computed on demand."""
-    if n_cap < 2:
-        raise DomainError(f"n_cap must be >= 2, got {n_cap}")
-    g = dims.g
-    ub, lb = params.mw_rank, g
-    yield BoundRow(2, ub, lb)
-    for n in range(2, n_cap):
-        ub += h1_step_bound(dims, n, params.bad_prime_count, mode)
-        lb += max(0, dims.r(n) - g**n)
-        yield BoundRow(n + 1, ub, lb)
+    return (rn + 1) // 2 if n % 2 == 0 else rn
 
 
 def halting_level(
@@ -201,10 +152,20 @@ def halting_level(
     found (``halting_level`` is then that n); when the cap is exhausted the
     rows run through n_cap and ``halting_level`` is None.
     """
-    dims = graded_dims(params.g, max(n_cap - 1, 1))
-    rows = []
-    for row in _bound_rows(params, dims, n_cap, mode):
-        rows.append(row)
-        if row.selmer_ub < row.derham_lb:
-            return BoundTable(params, mode, tuple(rows), row.n)
-    return BoundTable(params, mode, tuple(rows))
+    check_int(n_cap, "n_cap", 2)
+    if n_cap > DEFAULT_LEVEL_CAP + 1:
+        raise DomainError(f"n_cap must be at most {DEFAULT_LEVEL_CAP + 1}, got {n_cap}")
+    g, s = params.g, params.bad_prime_count
+    ub, lb = params.mw_rank, g
+    rows = [BoundRow(2, ub, lb)]
+    for n, rn in enumerate(graded_dims(g, n_cap - 1).graded[1:], 2):
+        if ub < lb:
+            break
+        ub += (
+            _minus(rn, n, mode)
+            + (s + 1) * n * g**n
+            + s * (n * (n - 1) // 2) * (2 * g - 2) ** 2 * g ** (n - 2)
+        )
+        lb += max(0, rn - g**n)
+        rows.append(BoundRow(n + 1, ub, lb))
+    return BoundTable(params, mode, tuple(rows), rows[-1].n if ub < lb else None)

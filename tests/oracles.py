@@ -7,6 +7,8 @@ mathematics or brute force than the library under test:
   three-term recurrence.
 * Graded dimensions are cross-checked through the product formula
   for the generating function, not Moebius inversion.
+* Bound tables, row by row, come from the defining formulas, with graded
+  dimensions inverted from those quadratic-integer Lucas values.
 * Shuffle tables come from brute-force interleaving enumeration.
 * p-adic root counts come from an exhaustive search modulo p^6 with a
   Hensel-liftability filter (vectorized with numpy).
@@ -19,7 +21,9 @@ mathematics or brute force than the library under test:
   antiderivative, p-rescale, Taylor shift, evaluation at an integer,
   product), which runs on the stored coefficient integers, is checked
   against a loop that chains one ``PadicNumber`` operation per term, so
-  that every intermediate result is rounded by the scalar arithmetic.
+  that every intermediate result is rounded by the scalar arithmetic.  The
+  rationals 1/(i + 1) of the antiderivative enter that loop through a
+  ``pow`` inverse written here, not through the library.
 * The Strassmann count of roots of valuation >= 1 is checked against the
   lower convex hull of the Newton polygon, with the hull's own stricter
   refusal rule, and against the hull's count on every brute-force
@@ -38,12 +42,13 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from nadescent.errors import DomainError, RootCountPrecisionError
 from nadescent.padic_series import (
+    DEFAULT_PRECISION,
     IsolationFailure,
     PadicNumber,
     PadicSeries,
@@ -157,19 +162,24 @@ def graded_dim_by_inversion(g: int, n: int) -> int:
 
 def oracle_halting_level(
     g: int, s: int, rank: int, mode: str, n_cap: int
-) -> Optional[int]:
+) -> Tuple[List[Tuple[int, int, int]], Optional[int]]:
     """Walk the two bound columns directly from their defining formulas.
 
-    mode is 'faithful' (halve the odd-degree graded piece, exactly) or
-    'verbatim' (halve the even-degree piece, rounding up).
+    Returns the rows (n, UB(n), LB(n)) from n = 2 through the halting level,
+    or through n_cap when there is none, and the level or None.  mode is
+    'faithful' (halve the odd-degree graded piece, exactly) or 'verbatim'
+    (halve the even-degree piece, rounding up).
     """
-    r = [None] + [graded_dim_by_inversion(g, n) for n in range(1, n_cap + 1)]
+    rows = []
     ub = rank
     lb = g
     for n in range(2, n_cap + 1):
+        rows.append((n, ub, lb))
         if ub < lb:
-            return n
-        rn = r[n]
+            return rows, n
+        if n == n_cap:
+            break
+        rn = graded_dim_by_inversion(g, n)
         if mode == "faithful":
             minus = rn // 2 if n % 2 == 1 else rn
             assert n % 2 == 0 or rn % 2 == 0
@@ -179,8 +189,7 @@ def oracle_halting_level(
         good = n * g ** n
         ub = ub + minus + s * bad + good
         lb = lb + max(0, rn - g ** n)
-        # the loop head compares at n+1
-    return None
+    return rows, None
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +401,7 @@ def antiderivative_by_objects(f):
     carried to at least c_i's own relative precision."""
     out = [PadicNumber.zero(f.p)]
     for i, c in enumerate(f.coeffs):
-        inverse = PadicNumber.from_fraction(f.p, Fraction(1, i + 1), max(c.prec, 1))
+        inverse = padic_from_fraction(f.p, Fraction(1, i + 1), max(c.prec, 1))
         out.append(c * inverse)
     return out
 
@@ -616,6 +625,21 @@ def int_valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def padic_from_fraction(
+    p: int, value: Union[int, Fraction], prec: int = DEFAULT_PRECISION
+) -> PadicNumber:
+    """The rational ``value`` as a PadicNumber of relative precision prec,
+    its unit part inverted with ``pow``."""
+    frac = Fraction(value)
+    if frac == 0:
+        return PadicNumber.zero(p)
+    num, den = frac.numerator, frac.denominator
+    vn, vd = int_valuation(num, p), int_valuation(den, p)
+    mod = p**prec
+    unit = num // p**vn * pow(den // p**vd, -1, mod) % mod
+    return PadicNumber(p, vn - vd, unit, prec)
 
 
 def factorial_valuation(m: int, p: int) -> int:

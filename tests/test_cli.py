@@ -168,6 +168,12 @@ class TestHalt:
         assert code == 3
         assert out.splitlines() == ["mw_rank,mode,halting_level", "2,faithful,"]
 
+    def test_n_cap_above_the_cap_exits_2_naming_n_cap(self):
+        code, out, err = invoke_cli(self.BASE + ["--rank", "0", "--n-cap", "20000"])
+        assert (code, out) == (2, "")
+        assert "n_cap must be at most 10001, got 20000" in err
+        assert "level cap" not in err
+
 
 class TestSeparate:
     def test_simple_charts(self):
@@ -456,6 +462,17 @@ class TestReport:
         assert doc["failed_stage"] == "halting"
         assert doc["halting_level"] is None
         assert "separation" not in doc
+
+    def test_n_cap_above_the_cap_exits_2_naming_n_cap(self, tmp_path):
+        config = json.loads(
+            open(data_path("report_config.json"), encoding="utf-8").read()
+        )
+        config["n_cap"] = 20000
+        path = write_json(tmp_path, "too-far.json", config)
+        code, out, err = invoke_cli(["report", "--config", path])
+        assert (code, out) == (2, "")
+        assert "n_cap must be at most 10001, got 20000" in err
+        assert "level cap" not in err
 
     def test_separation_failure_stage(self, tmp_path):
         config = json.loads(
