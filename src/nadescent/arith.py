@@ -14,7 +14,7 @@ import math
 from functools import lru_cache
 from itertools import compress
 
-from .errors import DomainError, FactorizationTimeoutError
+from .errors import DomainError, FactorizationTimeoutError, check_int
 
 # Strong probable-prime tests to these bases decide primality for every
 # n < psi_12 = 318665857834031151167461 (Sorenson & Webster, Math. Comp. 86,
@@ -217,10 +217,12 @@ def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> dict[int, int]:
     rho work, counted in Brent steps; exceeding it raises
     FactorizationTimeoutError carrying the partial factorization and the
     unfactored cofactor, whose product is n, so the failure is explicit
-    rather than silent.
+    rather than silent.  A budget of 0 allows trial division only; a
+    negative one is refused.
     """
     if n < 1:
         raise DomainError(f"cannot factor {n}; need a positive integer")
+    check_int(budget, "factor budget", 0)
     out: dict[int, int] = {}
     for q in _trial_primes():
         if q * q > n:

@@ -411,6 +411,7 @@ _P = _int("--p", required=True, help="good working prime")
 _INPUT = _flag("--input", required=True, metavar="FILE")
 _JOBS = _int("--jobs", default=1, help="accepted; disks always run in order")
 _FACTOR_BUDGET = _int("--factor-budget", default=DEFAULT_FACTOR_BUDGET)
+_MINIMUMS = ((_JOBS, 1), (_FACTOR_BUDGET, 0))  # checked before a command runs
 _OUTPUT_FLAGS = (  # every command takes these
     _flag(
         "--output",
@@ -563,8 +564,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             dest = flag.options["dest"]
             if flag.integer and getattr(args, dest) is not None:
                 setattr(args, dest, parse_int(getattr(args, dest), flag.names[0]))
-        if _JOBS in command.flags:
-            check_int(args.jobs, "jobs", 1)
+        for flag, least in _MINIMUMS:
+            if flag in command.flags:
+                check_int(getattr(args, flag.options["dest"]), flag.names[0], least)
         code, doc = command.handler(args)
         text = _render(command, args.output, doc)
         if args.out:

@@ -563,6 +563,10 @@ class PadicSeries:
         Coefficient j is the sum over m >= j of C(m, j) c^(m-j) c_m, known
         to the least abs(c_m) + v_p(C(m, j)) + (m - j) v_p(c) over the live
         c_m; the sums come from Horner's scheme on the coefficient integers.
+        With spent_m = abs(c_m) + m v_p(c), that least value is spent_j -
+        j v_p(c) whenever spent_j is at most every later spent_m, since
+        v_p(C(j, j)) = 0 and no v_p(C(m, j)) is negative; one suffix-minimum
+        pass finds those rows, and only the others scan their binomials.
         """
         if c == 0:
             return self
@@ -573,9 +577,12 @@ class PadicSeries:
                 acc = ints[k] = ints[k] + c * acc
         t = v_p(c, p)
         spent = [a + m * t for m, a in enumerate(self.abss)]
+        least = list(accumulate(reversed(spent), min))[::-1]  # min(spent[j:])
         abss = [
-            min(map(add, spent[j:], row)) - j * t
-            for j, row in enumerate(_binomial_valuations(p, n))
+            (s if s == low else min(map(add, spent[j:], row))) - j * t
+            for j, (s, low, row) in enumerate(
+                zip(spent, least, _binomial_valuations(p, n))
+            )
         ]
         ints = _reduced(p, base, ints, abss)
         return _series(p, base, ints, abss, self.weierstrass_bound)
@@ -649,6 +656,11 @@ def newton_polygon(f: PadicSeries) -> tuple[int, int]:
     multiplicity, over the algebraic closure.  An ``O(p^k)`` at index i could
     move the vertex exactly when k + i < m, or k + i = m with i > I; then, as
     when no c_i in scope is known to be nonzero, the count is refused.
+
+    Only a coefficient that can reach or lower the running m needs its
+    valuation: c_i does when i <= m and v(c_i) <= m - i, that is when p does
+    not divide its integer x or p^(m - i + 1) does not.  ``x % p`` is tested
+    first, so a unit never builds a power; once i > m, no later c_i can.
     """
     if f.weierstrass_bound is None:
         raise DomainError(
@@ -658,10 +670,12 @@ def newton_polygon(f: PadicSeries) -> tuple[int, int]:
     p, scope = f.p, f.ints[: f.weierstrass_bound + 1]
     top, m = None, _INF
     for i, x in enumerate(scope):
-        if x:
-            h = i + v_p(x, p)
-            if h <= m:
-                top, m = i, h
+        if i > m:
+            break
+        if x % p:
+            top, m = i, i
+        elif x and (top is None or x % p ** (m - i + 1)):
+            top, m = i, i + v_p(x, p)
     if top is None:
         raise RootCountPrecisionError("no coefficient in scope is known nonzero")
     m += f.base

@@ -129,6 +129,14 @@ class TestFactorize:
             assert all(is_prime(q) for q in partial)
             assert not is_prime(cofactor)
 
+    def test_a_negative_budget_is_refused_and_zero_means_trial_division(self):
+        with pytest.raises(DomainError, match="budget must be an integer >= 0"):
+            factorize(30, -5)
+        assert factorize(30, 0) == {2: 1, 3: 1, 5: 1}
+        with pytest.raises(FactorizationTimeoutError) as caught:
+            factorize(104_729 * 104_723, 0)
+        assert caught.value.cofactor == 104_729 * 104_723
+
     def test_one_and_small_primes(self):
         assert factorize(1) == {}
         assert factorize(9_973) == {9_973: 1}

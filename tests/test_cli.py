@@ -389,6 +389,25 @@ class TestOrder:
         assert (code, out) == invoke_cli(argv)[:2]
         assert code == 0
 
+    @pytest.mark.parametrize("count_fp", ["30", "1000036000099"])
+    def test_a_negative_factor_budget_exits_2_naming_the_flag(self, count_fp):
+        # 30 needs no Brent step and 1000036000099 needs some; both are
+        # refused before any factoring
+        code, out, err = invoke_cli(
+            ["order", "--p", "5", "--genus", "2", "--count-fp", count_fp,
+             "--modulus-exponent", "1", "--factor-budget", "-5", "--enlarge", "2"]
+        )
+        assert (code, out) == (2, "")
+        assert "--factor-budget must be an integer >= 0, got -5" in err
+
+    def test_a_zero_factor_budget_allows_trial_division_only(self):
+        argv = ["order", "--p", "5", "--genus", "2", "--modulus-exponent", "1",
+                "--factor-budget", "0", "--enlarge", "2", "--count-fp"]
+        assert run_json(argv + ["30"])["enlarged_primes"] == ["2", "3", "5"]
+        code, _, err = invoke_cli(argv + ["1000036000099"])
+        assert code == 3
+        assert "budget of 0 Brent steps" in err
+
 
 class TestDescentSim:
     def test_staircase_fixture(self):
@@ -522,6 +541,14 @@ class TestReport:
         code, out, err = invoke_cli(["report", "--config", path])
         assert (code, out) == (2, "")
         assert "$: expected an object" in err
+
+    def test_a_negative_factor_budget_exits_2_naming_the_flag(self):
+        code, out, err = invoke_cli(
+            ["report", "--config", data_path("report_config.json"),
+             "--factor-budget", "-1"]
+        )
+        assert (code, out) == (2, "")
+        assert "--factor-budget must be an integer >= 0, got -1" in err
 
     def test_out_file_round_trip(self, tmp_path):
         target = tmp_path / "full.json"

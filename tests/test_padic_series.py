@@ -17,6 +17,8 @@ from nadescent import (
     root_count_positive_valuation,
     separation_modulus,
 )
+from nadescent import padic_series
+from nadescent.arith import v_p
 from nadescent.errors import (
     MultipleRootSuspectedError,
     PrecisionExhaustedError,
@@ -37,6 +39,7 @@ from .oracles import (
     completions,
     isolate_classes_by_recursion,
     root_count_by_hull,
+    strassmann_vertex_by_valuations,
 )
 
 
@@ -669,3 +672,73 @@ class TestStrassmannCount:
             root_count_by_hull(f)
         assert root_count_positive_valuation(f) == 0
         assert {root_count_by_hull(g) for g in completions(f)} == {0}
+
+
+@st.composite
+def vertex_cases(draw):
+    """A series over p in {2, 3, 5, 7} of up to 12 coefficients under a
+    Weierstrass bound below the length that they do not refute.  A drawn
+    level m0 (0..12 or near 10^4) sets the line v + i = m0; each coefficient
+    is the exact zero, ``O(p^k)`` with k + i near m0 or k in -2..14, or a
+    unit form u p^v with v on the line, above it, in 0..12 or near 10^4."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 12))
+    m0 = draw(st.one_of(st.integers(0, 12), st.integers(9_990, 10_010)))
+    coeffs = []
+    for i in range(n):
+        line = max(m0 - i, 0)
+        kind = draw(
+            st.sampled_from(["zero", "ztp", "tie", "tie", "above", "above", "any"])
+        )
+        if kind == "zero":
+            coeffs.append(PadicNumber.zero(p))
+        elif kind == "ztp":
+            near = st.integers(m0 - i - 1, m0 - i + 1)
+            coeffs.append(
+                PadicNumber.zero_to(p, draw(st.one_of(st.integers(-2, 14), near)))
+            )
+        else:
+            val = {
+                "tie": st.just(line),
+                "above": st.integers(line + 1, line + 12),
+                "any": st.one_of(st.integers(0, 12), st.integers(9_990, 10_010)),
+            }[kind]
+            prec = draw(st.integers(1, 4))
+            unit = draw(st.integers(1, p**prec - 1).map(lambda u: u + (u % p == 0)))
+            coeffs.append(PadicNumber(p, draw(val), unit, prec))
+    try:
+        return PadicSeries(p, coeffs, draw(st.integers(0, n - 1)))
+    except DomainError:
+        assume(False)
+
+
+def vertex_or_refusal(scan, f):
+    try:
+        return scan(f)
+    except RootCountPrecisionError as exc:
+        return str(exc)
+
+
+class TestVertexScan:
+    """The scan takes only the valuations that can reach the vertex."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=vertex_cases())
+    def test_matches_the_scan_over_every_valuation(self, f):
+        assert vertex_or_refusal(newton_polygon, f) == vertex_or_refusal(
+            strassmann_vertex_by_valuations, f
+        )
+
+    def test_only_the_coefficients_that_reach_m_take_a_valuation(self, monkeypatch):
+        # m = 3 at c_0 = 5^3 and again at 2*5 z^2; 5^3 z and 5^2 z^3 lie
+        # above the line v + i = 3, and the units beyond it
+        f = S([125, 125, 10, 25, 1, 1, 1])
+        calls = []
+
+        def counting_v_p(n, p):
+            calls.append(n)
+            return v_p(n, p)
+
+        monkeypatch.setattr(padic_series, "v_p", counting_v_p)
+        assert newton_polygon(f) == (2, 3)
+        assert calls == [125, 10]

@@ -101,6 +101,31 @@ def shift_cases(draw):
 
 
 @st.composite
+def falling_shift_cases(draw):
+    """Up to 17 coefficients whose absolute precisions fall with the index,
+    and a center c = k p^j with j >= 1.  spent_m = abs(c_m) + m v_p(c) then
+    need not rise with m, so some rows of the shift take the suffix minimum
+    and others scan their binomials."""
+    p = draw(PRIMES)
+    top = draw(st.integers(0, 40))
+    coeffs = []
+    for _ in range(draw(st.integers(1, 17))):
+        kind = draw(st.sampled_from(["exact", "ztp", "unit", "unit"]))
+        if kind == "exact":
+            coeffs.append(PadicNumber.zero(p))
+        elif kind == "ztp":
+            coeffs.append(PadicNumber.zero_to(p, top))
+        else:
+            val = draw(st.integers(top - 6, top - 1))
+            units = st.integers(1, p ** (top - val) - 1)
+            unit = draw(units.map(lambda u: u + (u % p == 0)))
+            coeffs.append(PadicNumber(p, val, unit, top - val))
+        top -= draw(st.integers(0, 4))
+    k = draw(st.integers(-6, 6).filter(bool))
+    return PadicSeries(p, coeffs), k * p ** draw(st.integers(1, 3))
+
+
+@st.composite
 def product_cases(draw):
     p = draw(PRIMES)
     f, fx = draw(series_balls(p))
@@ -194,6 +219,22 @@ class TestKernelsMatchObjectLoops:
     def test_shift_center(self, case):
         _, f, _, c = case
         assert_matches(lambda: f.shift_center(c), oracles.shift_center_by_objects(f, c))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=falling_shift_cases())
+    def test_shift_center_with_falling_precisions(self, case):
+        f, c = case
+        assert_matches(lambda: f.shift_center(c), oracles.shift_center_by_objects(f, c))
+
+    def test_a_shift_row_that_must_scan_its_binomials(self):
+        # p = c = 2: spent = abs(c_m) + m = [10, 11, 5].  Row 1 is not its
+        # own suffix minimum (11 > 5), and C(2, 1) = 2 adds a digit to the
+        # entry of c_2, so abs = min(11 + 0, 5 + 1) - 1 = 5: neither
+        # spent_1 - 1 = 10 nor the suffix minimum less one, 4
+        unit = PadicNumber(2, 0, 1, 10)
+        f = PadicSeries(2, [unit, unit, PadicNumber(2, 0, 1, 3)])
+        assert f.shift_center(2).abs_precs() == [5, 5, 3]
+        assert_matches(lambda: f.shift_center(2), oracles.shift_center_by_objects(f, 2))
 
     @settings(max_examples=150, deadline=None)
     @given(case=shift_cases())
