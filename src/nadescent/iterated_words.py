@@ -32,7 +32,7 @@ from .errors import (
     PrimeMismatchError,
     check_int,
 )
-from .padic_series import DEFAULT_PRECISION, PadicNumber, PadicSeries
+from .padic_series import DEFAULT_PRECISION, PadicNumber, PadicSeries, weighted_sum
 
 Word = Tuple[int, ...]
 
@@ -143,36 +143,46 @@ class FormSystem:
 
     @property
     def working_prec(self) -> int:
-        precs = [c.prec for f in self.forms for c in f.coeffs if c.unit is not None]
-        return max(precs) if precs else DEFAULT_PRECISION
+        """The largest relative precision abs - v of a unit-form coefficient
+        (a nonzero stored integer), or DEFAULT_PRECISION when there is none."""
+        rels = (
+            a - v for f in self.forms for x, a, v in zip(f.ints, f.abss, f.vals()) if x
+        )
+        return max(rels, default=DEFAULT_PRECISION)
 
 
-def _integral(
-    system: FormSystem, word: Word, trunc: int, memo: Dict[Word, PadicSeries]
-) -> PadicSeries:
-    # start from the longest suffix in the memo, then build the longer ones
-    # shortest first: a_word[k:] = integral of f_word[k] * a_word[k+1:]
-    known = 0
-    while word[known:] not in memo:
-        if known == len(word):
-            memo[()] = PadicSeries.constant(system.p, 1, trunc, system.working_prec)
-            break
-        known += 1
-    out = memo[word[known:]]
-    for k in reversed(range(known)):
-        suffix = word[k:]
-        # product coefficient d needs operand coefficients up to d only
-        form = system.forms[word[k] - 1].truncate(trunc - 1)
-        out = (form * out.truncate(trunc - 1)).antiderivative()
-        for m, prec in enumerate(out.abs_precs()):
-            if prec <= 0 and out.coeff(m).is_unknown_zero():
-                raise PrecisionExhaustedError(
-                    f"coefficient {m} of the integral for word {suffix} "
-                    f"degraded to O({system.p}^{prec}); raise the working "
-                    f"precision of the forms"
-                )
-        memo[suffix] = out
-    return out
+class _Integrals:
+    """The integrals a_w of one system to one truncation degree, each suffix
+    built once.  The forms are truncated to degree trunc - 1 once, since
+    product coefficient d needs operand coefficients up to d only, so each
+    form's valuations are taken once however many products read it."""
+
+    def __init__(self, system: FormSystem, trunc: int):
+        self.p = system.p
+        self.forms = tuple(f.truncate(trunc - 1) for f in system.forms)
+        one = PadicSeries.constant(system.p, 1, trunc, system.working_prec)
+        self.memo: Dict[Word, PadicSeries] = {(): one}
+
+    def __call__(self, word: Word) -> PadicSeries:
+        # start from the longest suffix in the memo, then build the longer
+        # ones shortest first: a_word[k:] = integral of f_word[k] * a_word[k+1:]
+        memo, known = self.memo, 0
+        while word[known:] not in memo:
+            known += 1
+        out = memo[word[known:]]
+        for k in reversed(range(known)):
+            suffix = word[k:]
+            # the product stops at the truncated form's trunc coefficients
+            out = (self.forms[word[k] - 1] * out).antiderivative()
+            for m, (x, prec) in enumerate(zip(out.ints, out.abss)):
+                if prec <= 0 and not x:
+                    raise PrecisionExhaustedError(
+                        f"coefficient {m} of the integral for word {suffix} "
+                        f"degraded to O({self.p}^{prec}); raise the working "
+                        f"precision of the forms"
+                    )
+            memo[suffix] = out
+        return out
 
 
 def iterated_integral(
@@ -184,7 +194,7 @@ def iterated_integral(
     the truncation degree defaults to (and cannot exceed) the forms' own.
     """
     word = _validate_word(word, system.size)
-    return _integral(system, word, system.truncation(trunc), {})
+    return _Integrals(system, system.truncation(trunc))(word)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +271,9 @@ def evaluate_observable(
             f"observable over p={obs.p}, forms over p={system.p}"
         )
     trunc = system.truncation(trunc)
-    memo: Dict[Word, PadicSeries] = {}
-    total: Optional[PadicSeries] = None
-    for word, coeff in obs.terms:
-        _validate_word(word, system.size)
-        piece = _integral(system, word, trunc, memo).scale(coeff)
-        total = piece if total is None else total + piece
-    if total is None:
-        return PadicSeries(system.p, [PadicNumber.zero(system.p)] * (trunc + 1))
-    return total
+    integral = _Integrals(system, trunc)
+    terms = (
+        (coeff, integral(_validate_word(word, system.size)))
+        for word, coeff in obs.terms
+    )
+    return weighted_sum(system.p, trunc + 1, terms)

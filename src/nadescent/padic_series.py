@@ -350,9 +350,15 @@ class PadicSeries:
     docstring; it survives recentering (z -> c + z), the p-rescale
     (z -> p z) and scalar multiples, and is dropped by operations (sums,
     products, derivatives) whose zeros it says nothing about.
+
+    The private slot ``_floors`` holds the valuation floor of every
+    coefficient and the relative precision they share (None when they
+    differ), computed on first use: a series read by several products,
+    scalar multiples or sums takes each valuation once.  :meth:`vals`
+    returns a copy.
     """
 
-    __slots__ = ("p", "base", "ints", "abss", "weierstrass_bound")
+    __slots__ = ("p", "base", "ints", "abss", "weierstrass_bound", "_floors")
 
     def __init__(
         self,
@@ -380,17 +386,19 @@ class PadicSeries:
         if bound is not None and not 0 <= bound <= n - 1:
             raise DomainError(f"weierstrass bound {bound} outside 0..{n - 1}")
         if bound is not None and bound + 1 < n:
-            vals = _valuations(p, base, ints, abss)
-            floor = min(vals[: bound + 1])
-            for i in range(bound + 1, n):
-                if ints[i] and vals[i] <= floor:
-                    raise DomainError(
-                        f"weierstrass bound {bound} is refuted by coefficient {i} "
-                        f"of valuation {vals[i]}, which no coefficient at or "
-                        f"below the bound is known to exceed"
-                    )
-        for name, value in zip(self.__slots__, (p, base, ints, abss, bound)):
+            _check_bound(p, base, ints, abss, bound)
+        for name, value in zip(self.__slots__, (p, base, ints, abss, bound, None)):
             object.__setattr__(self, name, value)
+
+    def _floor_data(self) -> tuple:
+        """(valuation floors, shared relative precision or None), kept in
+        the ``_floors`` slot once computed; neither list is ever changed."""
+        data = self._floors
+        if data is None:
+            vals = _valuations(self.p, self.base, self.ints, self.abss)
+            data = (vals, _relative_precision(vals, self.abss))
+            object.__setattr__(self, "_floors", data)
+        return data
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("PadicSeries is immutable")
@@ -439,11 +447,7 @@ class PadicSeries:
 
     def vals(self) -> list:
         """The valuation floor of every coefficient (+inf for an exact zero)."""
-        return _valuations(self.p, self.base, self.ints, self.abss)
-
-    def abs_precs(self) -> list:
-        """The absolute precision of every coefficient (+inf for an exact zero)."""
-        return list(self.abss)
+        return list(self._floor_data()[0])
 
     def truncate(self, degree: int) -> "PadicSeries":
         if degree < 0:
@@ -486,6 +490,11 @@ class PadicSeries:
         pass finds the least; otherwise two passes take the least of
         abs(a_i) + v(b_j) and of v(a_i) + abs(b_j).  The coefficient
         integers are multiplied by Kronecker substitution.
+
+        r is read over the whole left operand, even when the product keeps
+        only a prefix of it: a prefix of a uniform series is uniform with
+        the same r or all exact zeros (for which r does not matter), and
+        the two passes give the one pass's result whenever both apply.
         """
         if not isinstance(other, PadicSeries):
             return NotImplemented
@@ -494,9 +503,8 @@ class PadicSeries:
         n = min(len(self.ints), len(other.ints))
         a_ints, a_abss = self.ints[:n], self.abss[:n]
         b_ints, b_abss = other.ints[:n], other.abss[:n]
-        a_vals = _valuations(p, self.base, a_ints, a_abss)
-        b_vals = _valuations(p, other.base, b_ints, b_abss)
-        r = _relative_precision(a_vals, a_abss)
+        a_vals, r = self._floor_data()
+        a_vals, b_vals = a_vals[:n], other._floor_data()[0][:n]
         if r is not None:
             abss = _min_plus(a_vals, [min(r + v, a) for v, a in zip(b_vals, b_abss)])
         else:
@@ -513,7 +521,8 @@ class PadicSeries:
         _require_same_prime(self, c)
         if c.is_exact_zero():
             return self.scale_int(0)
-        abss = [min(a, v + c.prec) + c.val for a, v in zip(self.abss, self.vals())]
+        vals = self._floor_data()[0]
+        abss = [min(a, v + c.prec) + c.val for a, v in zip(self.abss, vals)]
         base = self.base + c.val
         ints = _reduced(self.p, base, [x * (c.unit or 0) for x in self.ints], abss)
         bound = self.weierstrass_bound if c.unit else None
@@ -639,6 +648,80 @@ def _series(p: int, base: int, ints: list, abss: list, bound=None) -> PadicSerie
     out = object.__new__(PadicSeries)
     out._store(p, base, ints, abss, bound)
     return out
+
+
+def _check_bound(p: int, base: int, ints, abss, bound: int) -> None:
+    """Refuse ``bound`` when a unit form c_i with i > bound has valuation
+    at most t + base, t + base being the least valuation floor at or below
+    the bound.
+
+    t is found as :func:`newton_polygon` finds its vertex: the ``O(p^k)``
+    floors first, then 0 if any integer in scope is a unit, and otherwise
+    v_p only of an integer that p^t does not divide.  c_i refutes when
+    p^(t + 1) does not divide its integer; v_p is then taken of c_i alone,
+    for the message.
+    """
+    scope = ints[: bound + 1]
+    t = min((a for x, a in zip(scope, abss) if not x), default=_INF) - base
+    if t > 0 and any(x % p for x in scope):
+        t = 0
+    if t > 0:
+        for x in scope:
+            if x and (t == _INF or x % p**t):
+                t = v_p(x, p)
+    if t < 0:  # an O(p^k) below every unit form
+        return
+    step = None if t == _INF else p ** (t + 1)
+    for i in range(bound + 1, len(ints)):
+        x = ints[i]
+        if x and (step is None or x % step):
+            raise DomainError(
+                f"weierstrass bound {bound} is refuted by coefficient {i} "
+                f"of valuation {base + v_p(x, p)}, which no coefficient at or "
+                f"below the bound is known to exceed"
+            )
+
+
+def weighted_sum(
+    p: int, n: int, terms: Iterable[tuple[PadicNumber, PadicSeries]]
+) -> PadicSeries:
+    """The sum of c f over the pairs (c, f) of ``terms``, each f of n
+    coefficients, as folding ``f.scale(c)`` with ``+`` gives it, in one pass.
+
+    Every term is aligned to the least base of the scaled terms.
+    Coefficient i is known to the least min(abs(f_i), v(f_i) + prec(c)) +
+    v(c) over the terms: an ``O(p^k)`` scalar counts as unit 0 with prec 0
+    and shifts the base by its k, an exact zero adds nothing, as in
+    :meth:`PadicSeries.scale`.  The one reduction at the end leaves what the
+    fold's reductions leave, since each of them is modulo a power of p that
+    the final modulus divides.  A single term keeps f's weierstrass bound
+    when c is a unit, as ``scale`` does; a sum drops it.  With no terms the
+    sum is n exact zeros.
+    """
+    pairs = []
+    for c, f in terms:
+        for x in (f, c):
+            if x.p != p:
+                raise PrimeMismatchError(f"operands live over p={p} and p={x.p}")
+        if len(f.ints) != n:
+            raise DomainError(f"a term of {len(f.ints)} coefficients in a sum of {n}")
+        pairs.append((c, f))
+    # an exact-zero scalar keeps f's base, as scale_int(0) does
+    base = min((f.base + (c.val or 0) for c, f in pairs), default=0)
+    ints, abss = [0] * n, [_INF] * n
+    for c, f in pairs:
+        if c.is_exact_zero():
+            continue
+        val, prec = c.val, c.prec
+        vals = f._floor_data()[0]
+        abss = [min(b, min(a, v + prec) + val) for b, a, v in zip(abss, f.abss, vals)]
+        if c.unit is not None:
+            k = c.unit * p ** (f.base + val - base)
+            ints = [y + x * k for y, x in zip(ints, f.ints)]
+    bound = None
+    if len(pairs) == 1 and pairs[0][0].unit:
+        bound = pairs[0][1].weierstrass_bound
+    return _series(p, base, _reduced(p, base, ints, abss), abss, bound)
 
 
 # ---------------------------------------------------------------------------

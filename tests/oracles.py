@@ -19,9 +19,10 @@ mathematics or brute force than the library under test:
   fool each half of the test.
 * Every series operation (sum, scalar and integer multiples, derivative,
   antiderivative, p-rescale, Taylor shift, evaluation at an integer,
-  product), which runs on the stored coefficient integers, is checked
-  against a loop that chains one ``PadicNumber`` operation per term, so
-  that every intermediate result is rounded by the scalar arithmetic.  The
+  product, weighted sum), which runs on the stored coefficient integers,
+  is checked against a loop that chains one ``PadicNumber`` operation per
+  term, so that every intermediate result is rounded by the scalar
+  arithmetic.  The
   rationals 1/(i + 1) of the antiderivative enter that loop through a
   ``pow`` inverse written here, not through the library.
 * The Strassmann count of roots of valuation >= 1 is checked against the
@@ -30,6 +31,9 @@ mathematics or brute force than the library under test:
   completion of the ``O(p^k)`` coefficients in scope.  The vertex (I, m)
   and every refusal of the scan, which takes only the valuations that can
   reach the vertex, are checked against a scan that takes them all.
+* A series' refusal of a Weierstrass bound, whose check takes only the
+  valuations it needs, is checked against the rule that takes every
+  valuation in scope and beyond.
 * The residue-class walk of zero isolation is checked against a plain
   recursion, one call per depth level, in place of the explicit stack,
   that shifts every residue class.
@@ -434,6 +438,36 @@ def evaluate_by_objects(f, x: int):
     for c in reversed(f.coeffs):
         acc = acc.scale_int(x) + c
     return acc
+
+
+def weighted_sum_by_objects(p: int, n: int, terms):
+    """Coefficients of the sum of c f over the pairs (c, f): one * and one +
+    per coefficient of each term."""
+    out = [PadicNumber.zero(p)] * n
+    for c, f in terms:
+        out = [acc + x * c for acc, x in zip(out, f.coeffs)]
+    return out
+
+
+def bound_refusal_by_valuations(f, bound: int) -> Optional[str]:
+    """The message with which a series refuses the Weierstrass bound
+    ``bound``, by the rule over every valuation: a unit form c_i with i >
+    bound refutes it when v(c_i) is at most the least valuation floor at or
+    below the bound (k for ``O(p^k)``, +inf for the exact zero).  None when
+    no coefficient refutes it."""
+    vals = [
+        f.base + valuation_by_bisection(x, f.p) if x else a
+        for x, a in zip(f.ints, f.abss)
+    ]
+    floor = min(vals[: bound + 1])
+    for i in range(bound + 1, len(vals)):
+        if f.ints[i] and vals[i] <= floor:
+            return (
+                f"weierstrass bound {bound} is refuted by coefficient {i} "
+                f"of valuation {vals[i]}, which no coefficient at or "
+                f"below the bound is known to exceed"
+            )
+    return None
 
 
 def series_mul_by_objects(f, g):

@@ -20,11 +20,13 @@ from nadescent import (
     observable_product,
     shuffle,
 )
+from nadescent import padic_series
 from nadescent.errors import (
     IrregularFormError,
     PrecisionExhaustedError,
     PrimeMismatchError,
 )
+from nadescent.padic_series import DEFAULT_PRECISION
 
 from .oracles import brute_shuffle, factorial_valuation, padic_from_fraction
 
@@ -134,6 +136,30 @@ class TestFormSystem:
     def test_working_prec_tracks_units(self):
         low = PadicSeries(5, (PadicNumber(5, 0, 2, 7),))
         assert FormSystem((low,)).working_prec == 7
+
+    def test_working_prec_is_the_largest_relative_precision(self):
+        # an O(p^12) knows more digits than any unit form, but none of them
+        # relative ones; exact zeros have none either
+        top, unknown, zero = (
+            PadicNumber(5, 0, 2, 7),
+            PadicNumber.zero_to(5, 12),
+            PadicNumber.zero(5),
+        )
+        f = PadicSeries(5, (top, unknown, zero))
+        g = PadicSeries(
+            5, (PadicNumber(5, 2, 3, 9), PadicNumber(5, 1, 1, 4), unknown)
+        )
+        system = FormSystem((f, g))
+        assert system.working_prec == 9
+        assert system.working_prec == max(
+            c.prec for h in (f, g) for c in h.coeffs if c.unit is not None
+        )
+
+    def test_working_prec_without_units_is_the_default(self):
+        zeros = PadicSeries(7, (PadicNumber.zero(7), PadicNumber.zero_to(7, 30)))
+        assert FormSystem((zeros, zeros)).working_prec == DEFAULT_PRECISION
+        wide = PadicSeries(7, (PadicNumber(7, 3, 1, 40), PadicNumber.zero(7)))
+        assert FormSystem((zeros, wide)).working_prec == 40
 
 
 class TestIteratedIntegral:
@@ -353,3 +379,48 @@ class TestEvaluateObservable:
         obs = Observable.from_terms(7, [((1,), 1)])
         with pytest.raises(PrimeMismatchError):
             evaluate_observable(obs, const_one_system())
+
+    def test_a_coefficient_over_another_prime(self):
+        obs = Observable(5, (((1,), PadicNumber.from_int(7, 1)),))
+        with pytest.raises(PrimeMismatchError):
+            evaluate_observable(obs, const_one_system())
+
+    def test_zero_to_coefficients(self):
+        # O(5^-3) a_(1,2) knows coefficient m only to O(5^(v - 3)), v the
+        # valuation of that coefficient of a_(1,2): O(5^-3) at z^3, below
+        # every digit of the other terms; O(5^2) a_(2) and the exact zero
+        # take the sum's precision no lower than that
+        system = int_forms(5, [[1, 2, 3, 4, 5], [3, 0, 1, 0, 2]], prec=6)
+        words = [(), (1,), (1, 2), (2,), (2, 2)]
+        coeffs = [
+            PadicNumber.from_int(5, 7, 6),
+            PadicNumber.from_int(5, 3, 6),
+            PadicNumber.zero_to(5, -3),
+            PadicNumber.zero_to(5, 2),
+            PadicNumber.zero(5),
+        ]
+        obs = Observable(5, tuple(zip(words, coeffs)))
+        got = evaluate_observable(obs, system)
+        want = None
+        for w, c in zip(words, coeffs):
+            piece = iterated_integral(system, w).scale(c)
+            want = piece if want is None else want + piece
+        assert got.coeffs == want.coeffs
+        assert got.coeff(3) == PadicNumber.zero_to(5, -3)
+
+    def test_one_valuation_pass_per_form_and_integral(self, monkeypatch):
+        system = int_forms(5, [[1, 2, 3, 4, 5, 6, 7], [3, 0, 1, 0, 2, 0, 1]])
+        words = [(1,), (2, 1), (1, 2, 1), (2, 2, 1), (1, 1, 2), (2,)]
+        obs = Observable.from_terms(5, [(w, i + 2) for i, w in enumerate(words)])
+        suffixes = {w[k:] for w in words for k in range(len(w) + 1)}
+        calls = []
+        real = padic_series._valuations
+
+        def counting_valuations(p, base, ints, abss):
+            calls.append(len(ints))
+            return real(p, base, ints, abss)
+
+        monkeypatch.setattr(padic_series, "_valuations", counting_valuations)
+        evaluate_observable(obs, system)
+        # the truncated forms and the integrals a_w, the empty word's too
+        assert len(calls) <= system.size + len(suffixes)

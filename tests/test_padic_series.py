@@ -35,6 +35,7 @@ from nadescent.padic_series import (
 )
 
 from .oracles import (
+    bound_refusal_by_valuations,
     class_has_no_root_by_objects,
     completions,
     isolate_classes_by_recursion,
@@ -163,6 +164,35 @@ class TestSeriesArithmetic:
         f = S([1, 1]) - S([1, 1])
         assert f.indistinguishable_from_zero()
         assert not S([0, 1]).indistinguishable_from_zero()
+
+
+class TestValuationFloors:
+    def test_vals_returns_a_copy(self):
+        f = S([5, 1, 0, 25])
+        vals = f.vals()
+        vals[0] = -99
+        vals.append(7)
+        assert f.vals() == [1, 0, float("inf"), 2]
+        fresh = S([5, 1, 0, 25])
+        assert (f * f).coeffs == (fresh * fresh).coeffs
+        assert f.scale(PadicNumber.from_int(5, 3)).coeffs == fresh.scale(
+            PadicNumber.from_int(5, 3)
+        ).coeffs
+
+    def test_products_and_multiples_take_each_valuation_once(self, monkeypatch):
+        f, g = S([5, 1, 0, 25]), S([2, 50, 3])
+        calls = []
+        real = padic_series._valuations
+
+        def counting_valuations(p, base, ints, abss):
+            calls.append(len(ints))
+            return real(p, base, ints, abss)
+
+        monkeypatch.setattr(padic_series, "_valuations", counting_valuations)
+        c = PadicNumber.from_int(5, 10)
+        for _ in range(3):
+            f * g, g * f, f.scale(c), g.scale(c), f.vals()
+        assert sorted(calls) == [3, 4]
 
 
 class TestNewtonPolygon:
@@ -710,6 +740,76 @@ def vertex_cases(draw):
         return PadicSeries(p, coeffs, draw(st.integers(0, n - 1)))
     except DomainError:
         assume(False)
+
+
+@st.composite
+def bound_cases(draw):
+    """A series over p in {2, 3, 5, 7} of up to 12 coefficients, with no
+    bound, and a bound below its length.  Each coefficient is the exact
+    zero, ``O(p^k)`` with k in -2..14 or near 10^4, or a unit form with
+    valuation in -2..14 or near 10^4, so floors tie, refute and clear the
+    bound, and some are too deep to take cheaply."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 12))
+    level = st.one_of(st.integers(-2, 14), st.integers(9_990, 10_010))
+    coeffs = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["zero", "ztp", "unit", "unit", "unit"]))
+        if kind == "zero":
+            coeffs.append(PadicNumber.zero(p))
+        elif kind == "ztp":
+            coeffs.append(PadicNumber.zero_to(p, draw(level)))
+        else:
+            prec = draw(st.integers(1, 4))
+            unit = draw(st.integers(1, p**prec - 1).map(lambda u: u + (u % p == 0)))
+            coeffs.append(PadicNumber(p, draw(level), unit, prec))
+    return PadicSeries(p, coeffs), draw(st.integers(0, n - 1))
+
+
+def units5(vals):
+    """The unit forms 5^v, known to one digit."""
+    return [PadicNumber(5, v, 1, 1) for v in vals]
+
+
+def bound_refusal(f, bound):
+    try:
+        f.with_weierstrass_bound(bound)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+class TestBoundCheck:
+    """A bound is checked with only the valuations that decide it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=bound_cases())
+    def test_matches_the_rule_over_every_valuation(self, case):
+        f, bound = case
+        assert bound_refusal(f, bound) == bound_refusal_by_valuations(f, bound)
+
+    def test_a_unit_in_scope_takes_no_valuation(self, monkeypatch):
+        # six coefficients of valuation 300000-300005 and a unit, then 5 z^7
+        coeffs = units5(range(300_000, 300_006)) + units5([1])
+        coeffs.insert(3, PadicNumber(5, 0, 2, 1))
+        calls = []
+        monkeypatch.setattr(
+            padic_series, "v_p", lambda n, p: calls.append(n) or v_p(n, p)
+        )
+        assert PadicSeries(5, coeffs, 6).weierstrass_bound == 6
+        assert calls == []
+
+    def test_a_refusal_takes_a_valuation_per_new_floor(self, monkeypatch):
+        # no unit in scope: c_0 sets the floor, which c_1..c_4 keep; c_5,
+        # beyond the bound, lies above it and the unit form c_6 refutes
+        coeffs = units5([300_001, 300_001, 300_003, 300_002, 300_005, 300_002, 7])
+        calls = []
+        monkeypatch.setattr(
+            padic_series, "v_p", lambda n, p: calls.append(n) or v_p(n, p)
+        )
+        with pytest.raises(DomainError, match="coefficient 6 of valuation 7,"):
+            PadicSeries(5, coeffs, 4)
+        assert [v_p(n, 5) for n in calls] == [299_994, 0]
 
 
 def vertex_or_refusal(scan, f):

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nadescent.padic_series import PadicNumber, PadicSeries
+from nadescent.errors import DomainError, PrimeMismatchError
+from nadescent.padic_series import PadicNumber, PadicSeries, weighted_sum
 
 from . import oracles
 
@@ -133,6 +134,28 @@ def product_cases(draw):
     return p, f, fx, g, gx
 
 
+@st.composite
+def weighted_sum_cases(draw, wide=True):
+    """Up to five series of one length n over one prime, each with a
+    scalar: a unit form, ``O(p^k)`` with k of either sign, or the exact
+    zero.  Unit forms of valuation -3..5 give the series bases apart; with
+    ``wide``, a series may also be a uniform one of wide coefficients.  Each
+    term carries the exact rationals inside its scalar and coefficients
+    (None for a wide series)."""
+    p = draw(PRIMES)
+    n = draw(st.integers(1, 8))
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        if wide and draw(st.integers(0, 3)) == 0:
+            f, exact = draw(uniform_series(p, length=n)), None
+        else:
+            pairs = draw(st.lists(balls(p), min_size=n, max_size=n))
+            f, exact = PadicSeries(p, [c for c, _ in pairs]), [y for _, y in pairs]
+        c, y = draw(balls(p))
+        terms.append((c, f, y, exact))
+    return p, n, terms
+
+
 def valuation(y: Fraction, p: int) -> float:
     if y == 0:
         return math.inf
@@ -208,7 +231,7 @@ def assert_matches(operation, want):
     assert_reduced(got)
     assert triples(got.coeffs) == triples(want)
     assert got.vals() == [math.inf if c.is_exact_zero() else c.val for c in want]
-    assert got.abs_precs() == [
+    assert got.abss == [
         math.inf if c.is_exact_zero() else c.abs_prec() for c in want
     ]
 
@@ -233,7 +256,7 @@ class TestKernelsMatchObjectLoops:
         # spent_1 - 1 = 10 nor the suffix minimum less one, 4
         unit = PadicNumber(2, 0, 1, 10)
         f = PadicSeries(2, [unit, unit, PadicNumber(2, 0, 1, 3)])
-        assert f.shift_center(2).abs_precs() == [5, 5, 3]
+        assert f.shift_center(2).abss == [5, 5, 3]
         assert_matches(lambda: f.shift_center(2), oracles.shift_center_by_objects(f, 2))
 
     @settings(max_examples=150, deadline=None)
@@ -302,15 +325,63 @@ class TestKernelsMatchObjectLoops:
         f, _ = data.draw(series_balls(p))
         assert_matches(f.rescale_p, oracles.rescale_p_by_objects(f))
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=weighted_sum_cases())
+    def test_weighted_sum(self, case):
+        p, n, terms = case
+        pairs = [(c, f) for c, f, _, _ in terms]
+        want = oracles.weighted_sum_by_objects(p, n, pairs)
+        assert_matches(lambda: weighted_sum(p, n, pairs), want)
+        # the one reduction stores what the fold of scale and + stores
+        if pairs:
+            fold = pairs[0][1].scale(pairs[0][0])
+            for c, f in pairs[1:]:
+                fold = fold + f.scale(c)
+            got = weighted_sum(p, n, pairs)
+            assert (got.base, got.ints, got.abss) == (fold.base, fold.ints, fold.abss)
+
+    def test_weighted_sum_keeps_a_bound_as_scale_does(self):
+        f = PadicSeries.from_int_coeffs(5, [5, 1, 3], 8)
+        unit, unknown = PadicNumber.from_int(5, 10, 4), PadicNumber.zero_to(5, -3)
+        assert weighted_sum(5, 3, [(unit, f)]).weierstrass_bound == 2
+        assert weighted_sum(5, 3, [(unknown, f)]).weierstrass_bound is None
+        assert weighted_sum(5, 3, [(unit, f), (unit, f)]).weierstrass_bound is None
+        empty = weighted_sum(5, 3, [])
+        assert empty.coeffs == (PadicNumber.zero(5),) * 3
+        assert empty.weierstrass_bound is None
+
+    def test_weighted_sum_refuses_other_primes_and_lengths(self):
+        f = PadicSeries.from_int_coeffs(5, [1, 2], 8)
+        g = PadicSeries.from_int_coeffs(7, [1, 2], 8)
+        one5, one7 = PadicNumber.from_int(5, 1), PadicNumber.from_int(7, 1)
+        with pytest.raises(PrimeMismatchError):
+            weighted_sum(5, 2, [(one7, f)])
+        with pytest.raises(PrimeMismatchError):
+            weighted_sum(5, 2, [(one5, f), (one5, g)])
+        with pytest.raises(DomainError, match="3 coefficients in a sum of 2"):
+            weighted_sum(5, 2, [(one5, f), (one5, f.antiderivative())])
+
     def test_kernels_build_no_intermediate_numbers(self):
         f = PadicSeries.from_int_coeffs(5, [3, -10, 0, 25, 7, 1], 8)
+        terms = [
+            (PadicNumber(5, -1, 7, 3), f),
+            (PadicNumber.zero_to(5, -2), f.shift_center(-15)),
+            (PadicNumber.zero(5), f),
+            (PadicNumber(5, 2, 3, 12), f * f),
+        ]
         want = (
             oracles.shift_center_by_objects(f, -15),
             [oracles.evaluate_by_objects(f, 30)],
             oracles.series_mul_by_objects(f, f),
+            oracles.weighted_sum_by_objects(5, 6, terms),
         )
         got = without_number_arithmetic(
-            lambda: (f.shift_center(-15).coeffs, [f.evaluate(30)], (f * f).coeffs)
+            lambda: (
+                f.shift_center(-15).coeffs,
+                [f.evaluate(30)],
+                (f * f).coeffs,
+                weighted_sum(5, 6, terms).coeffs,
+            )
         )
         assert list(map(triples, got)) == list(map(triples, want))
 
@@ -368,6 +439,14 @@ class TestSoundness:
     def test_sum(self, case):
         _, f, fx, g, gx = case
         assert all(map(contains, (f + g).coeffs, map(add, fx, gx)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=weighted_sum_cases(wide=False))
+    def test_weighted_sum(self, case):
+        p, n, terms = case
+        got = weighted_sum(p, n, [(c, f) for c, f, _, _ in terms]).coeffs
+        want = [sum((y * xs[i] for *_, y, xs in terms), Fraction(0)) for i in range(n)]
+        assert all(map(contains, got, want))
 
     @pytest.mark.parametrize("op", ["+", "-", "*"])
     @settings(max_examples=100, deadline=None)
