@@ -516,17 +516,9 @@ class PadicSeries:
         return _series(p, base, _reduced(p, base, ints, abss), abss)
 
     def scale(self, c: PadicNumber) -> "PadicSeries":
-        """c f: coefficient i is known to min(abs(c_i), v(c_i) + prec(c)) +
-        v(c); an ``O(p^k)`` scalar counts as unit 0 with prec 0."""
-        _require_same_prime(self, c)
-        if c.is_exact_zero():
-            return self.scale_int(0)
-        vals = self._floor_data()[0]
-        abss = [min(a, v + c.prec) + c.val for a, v in zip(self.abss, vals)]
-        base = self.base + c.val
-        ints = _reduced(self.p, base, [x * (c.unit or 0) for x in self.ints], abss)
-        bound = self.weierstrass_bound if c.unit else None
-        return _series(self.p, base, ints, abss, bound)
+        """c f: the one-term :func:`weighted_sum`, whose docstring gives the
+        precision rule."""
+        return weighted_sum(self.p, len(self.ints), [(c, self)])
 
     def scale_int(self, k: int) -> "PadicSeries":
         """k f for an exact integer k; no precision is spent."""
@@ -666,9 +658,11 @@ def _check_bound(p: int, base: int, ints, abss, bound: int) -> None:
     if t > 0 and any(x % p for x in scope):
         t = 0
     if t > 0:
+        mod = None if t == _INF else p**t
         for x in scope:
-            if x and (t == _INF or x % p**t):
+            if x and (mod is None or x % mod):
                 t = v_p(x, p)
+                mod = p**t
     if t < 0:  # an O(p^k) below every unit form
         return
     step = None if t == _INF else p ** (t + 1)
@@ -686,16 +680,17 @@ def weighted_sum(
     p: int, n: int, terms: Iterable[tuple[PadicNumber, PadicSeries]]
 ) -> PadicSeries:
     """The sum of c f over the pairs (c, f) of ``terms``, each f of n
-    coefficients, as folding ``f.scale(c)`` with ``+`` gives it, in one pass.
+    coefficients, in one pass; :meth:`PadicSeries.scale` is the one-term case.
 
-    Every term is aligned to the least base of the scaled terms.
-    Coefficient i is known to the least min(abs(f_i), v(f_i) + prec(c)) +
-    v(c) over the terms: an ``O(p^k)`` scalar counts as unit 0 with prec 0
-    and shifts the base by its k, an exact zero adds nothing, as in
-    :meth:`PadicSeries.scale`.  The one reduction at the end leaves what the
-    fold's reductions leave, since each of them is modulo a power of p that
-    the final modulus divides.  A single term keeps f's weierstrass bound
-    when c is a unit, as ``scale`` does; a sum drops it.  With no terms the
+    In c f, coefficient i is known to min(abs(f_i), v(f_i) + prec(c)) +
+    v(c), and the base is f's base plus v(c): an ``O(p^k)`` scalar counts
+    as unit 0 with prec 0 and shifts the base by its k, an exact zero gives
+    n exact zeros at f's base.  The sum aligns every term to the least of
+    those bases and knows coefficient i to the least over the terms, as
+    folding the terms with ``+`` does.  The one reduction at the end leaves
+    what the fold's reductions leave, since each of them is modulo a power
+    of p that the final modulus divides.  A single term keeps f's
+    weierstrass bound when c is a unit; a sum drops it.  With no terms the
     sum is n exact zeros.
     """
     pairs = []
