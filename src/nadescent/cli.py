@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from dataclasses import replace
 from functools import cache
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -63,7 +64,13 @@ from .jsonio import (
 )
 from .lie_dims import DEFAULT_LEVEL_CAP, cumulative_dim, graded_dims, validate_genus
 from .padic_series import DEFAULT_DEPTH_CAP, SeparationStatus, separation_modulus
-from .selmer_bounds import DEFAULT_N_CAP, CurveParams, ParityMode, halting_level
+from .selmer_bounds import (
+    DEFAULT_N_CAP,
+    BoundTable,
+    CurveParams,
+    ParityMode,
+    halting_level,
+)
 from .two_sided_search import DEFAULT_SEARCH_CAP, TableEnumerator, run_descent
 
 EXIT_OK = 0
@@ -133,6 +140,16 @@ def _annihilator(p: int, g: int, count_fp: int, m: int) -> Tuple[int, List[str]]
     ]
 
 
+def _enlarged_primes(
+    s_primes: frozenset[int], p: int, count_fp: int, m: int, budget: int
+) -> List[int]:
+    """T0 = S union primes(N), N = count_fp * p^(g (M - 1)), without factoring
+    N: p, already tested prime, divides N exactly when M > 1 or p | count_fp,
+    and factoring count_fp finds the second case."""
+    t0 = enlarged_prime_set(s_primes, count_fp, budget=budget)
+    return sorted(t0 | {p} if m > 1 else t0)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers (return the exit code and the document to print)
 # ---------------------------------------------------------------------------
@@ -166,20 +183,23 @@ def _cmd_bounds(args) -> Tuple[int, Doc]:
 def _cmd_halt(args) -> Tuple[int, Doc]:
     ranks = _parse_rank_spec(args.rank)
     modes = list(ParityMode) if args.mode == "both" else [ParityMode.parse(args.mode)]
+    # the least rank is validated first, as in a walk per rank; UB moves with
+    # the rank one for one and LB not at all, so the walk for the top rank
+    # holds every lower rank's level
+    params = _curve_params(args, ranks[0])
+    top = replace(params, mw_rank=ranks[-1])
+    tables = [halting_level(top, n_cap=args.n_cap, mode=mode) for mode in modes]
+    levels = [_levels_by_rank(table, ranks) for table in tables]
     results = []
-    missed = False
-    for rank in ranks:
-        params = _curve_params(args, rank)
-        for mode in modes:
-            table = halting_level(params, n_cap=args.n_cap, mode=mode)
-            if table.halting_level is None:
-                missed = True
+    for i, rank in enumerate(ranks):
+        for mode, table, by_rank in zip(modes, tables, levels):
+            level = by_rank[i]
             results.append(
                 {
                     "mw_rank": rank,
                     "mode": mode.value,
-                    "halting_level": table.halting_level,
-                    "levels_examined": len(table.rows),
+                    "halting_level": level,
+                    "levels_examined": len(table.rows) if level is None else level - 1,
                 }
             )
     doc = {
@@ -189,7 +209,21 @@ def _cmd_halt(args) -> Tuple[int, Doc]:
         "n_cap": args.n_cap,
         "results": results,
     }
+    missed = any(r["halting_level"] is None for r in results)
     return (EXIT_BOUND_EXHAUSTED if missed else EXIT_OK), doc
+
+
+def _levels_by_rank(table: BoundTable, ranks: List[int]) -> List[Optional[int]]:
+    """The halting level of each of the ascending ``ranks``, none above the
+    table's own, read off its rows: rank r halts at the first row where
+    UB - (table rank - r) < LB, and a larger rank never halts sooner."""
+    rows, top = table.rows, table.params.mw_rank
+    i, levels = 0, []
+    for rank in ranks:
+        while i < len(rows) and rows[i].selmer_ub - top + rank >= rows[i].derham_lb:
+            i += 1
+        levels.append(rows[i].n if i < len(rows) else None)
+    return levels
 
 
 def _cmd_separate(args) -> Tuple[int, Any]:
@@ -239,8 +273,8 @@ def _cmd_order(args) -> Tuple[int, Doc]:
     }
     if args.enlarge is not None:
         s_primes = _parse_prime_list(args.enlarge, "--enlarge")
-        doc["enlarged_primes"] = sorted(
-            enlarged_prime_set(s_primes, n_value, budget=args.factor_budget)
+        doc["enlarged_primes"] = _enlarged_primes(
+            s_primes, args.p, count_fp, args.modulus_exponent, args.factor_budget
         )
     return EXIT_OK, doc
 
@@ -310,11 +344,11 @@ def _cmd_report(args) -> Tuple[int, Doc]:
     jac_g = parse_int(jac.get("g", genus), "$.jacobian.g")
     doc["inputs"]["jacobian"] = {"g": jac_g, "count_fp": count_fp}
     n_value, doc["warnings"] = _annihilator(p, jac_g, count_fp, report.modulus)
-    t0 = enlarged_prime_set(bad, n_value, budget=args.factor_budget)
-
     doc["modulus_exponent"] = report.modulus
     doc["annihilator"] = n_value
-    doc["enlarged_primes"] = sorted(t0)
+    doc["enlarged_primes"] = _enlarged_primes(
+        bad, p, count_fp, report.modulus, args.factor_budget
+    )
     doc["status"] = "complete"
     return EXIT_OK, doc
 

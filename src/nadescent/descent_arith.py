@@ -14,7 +14,11 @@ prime factors are the only primes that can enter the enlarged set
 
     T_0 = S union { primes dividing N },
 
-which is where the search for the next stage of descent has to live.
+which is where the search for the next stage of descent has to live.  Its
+primes need no factoring of N: p has passed the primality test when the
+local data is built, and it divides N exactly when M > 1 or p divides
+#J(F_p).  So the command line factors #J(F_p) alone, and the factoring
+budget counts the rho work on #J(F_p) only.
 
 The residue count #J(F_p) is caller-supplied (this package does not count
 points on curves); it is sanity-checked against the exact Weil interval

@@ -24,6 +24,7 @@ import math
 import re
 import sys
 from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, List, Optional, Tuple
 
 from .arith import is_prime
@@ -411,7 +412,48 @@ def _canonical(obj: Any) -> Any:
 
 
 def canonical_dumps(doc: Any) -> str:
-    return json.dumps(canonicalize(doc), sort_keys=True, indent=2) + "\n"
+    """The canonical text of ``doc``: the bytes of
+    ``json.dumps(canonicalize(doc), sort_keys=True, indent=2) + "\\n"``,
+    ASCII only, written by a direct emitter (``indent`` would send
+    ``json.dumps`` down its pure-Python encoder)."""
+    out: List[str] = []
+    _emit(canonicalize(doc), "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(obj: Any, newline: str, out: List[str]) -> None:
+    """Append the indented text of a canonical value (dict, list, str, bool or
+    None) to ``out``; ``newline`` is a line break and the indent of obj's line."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + _quote(key) + ": ")
+            _emit(obj[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _emit(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(_LITERALS[obj])
+
+
+_LITERALS = {True: "true", False: "false", None: "null"}
 
 
 def load_json_file(filename: str) -> Any:

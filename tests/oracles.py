@@ -17,6 +17,11 @@ mathematics or brute force than the library under test:
   sequences and walking the alternation schedule by hand.
 * Primality is checked against published lists of the composites that
   fool each half of the test.
+* The enlarged prime set T0, which the CLI forms from primes(#J(F_p)) and
+  p without factoring N, is checked against the primes of N itself found
+  by trial division.
+* The direct canonical emitter is checked against ``json.dumps`` with
+  sorted keys and a two-space indent.
 * Every series operation (sum, scalar and integer multiples, derivative,
   antiderivative, p-rescale, Taylor shift, evaluation at an integer,
   product, weighted sum), which runs on the stored coefficient integers,
@@ -45,6 +50,7 @@ mathematics or brute force than the library under test:
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -730,3 +736,32 @@ def factorial_valuation(m: int, p: int) -> int:
 
 def exact_ratio(a: int, b: int) -> Fraction:
     return Fraction(a, b)
+
+
+# ---------------------------------------------------------------------------
+# T0 by trial division, canonical text by the json module
+# ---------------------------------------------------------------------------
+
+
+def enlarged_primes_by_trial_division(
+    s_primes: Sequence[int], p: int, g: int, m: int, count_fp: int
+) -> List[int]:
+    """S union the primes of N = count_fp * p^(g (M - 1)), found by trial
+    division of N itself."""
+    n = count_fp * p ** (g * (m - 1))
+    primes = set(s_primes)
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.add(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        primes.add(n)
+    return sorted(primes)
+
+
+def canonical_text_by_json(canonical) -> str:
+    """The canonical text of an already canonicalized value."""
+    return json.dumps(canonical, sort_keys=True, indent=2) + "\n"

@@ -9,12 +9,16 @@ from dataclasses import dataclass
 from typing import Any
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nadescent import cli
+from nadescent import arith, cli
 from nadescent.errors import DigitLimitError
-from nadescent.jsonio import canonicalize
+from nadescent.jsonio import canonical_dumps, canonicalize
+from nadescent.selmer_bounds import CurveParams, ParityMode, halting_level
 
 from .conftest import data_path, invoke_cli, write_json
+from .oracles import canonical_text_by_json, enlarged_primes_by_trial_division
 
 
 def run_json(argv):
@@ -173,6 +177,51 @@ class TestHalt:
         assert (code, out) == (2, "")
         assert "n_cap must be at most 10001, got 20000" in err
         assert "level cap" not in err
+
+    def test_a_negative_rank_in_a_sweep_exits_2(self):
+        # the sweep walks once, for its top rank, yet still refuses its least
+        code, out, err = invoke_cli(
+            ["halt", "--genus", "3", "--p", "7", "--rank=-1..3", "--n-cap", "40",
+             "--mode", "both", "--bad-count", "1"]
+        )
+        assert (code, out, err) == (
+            2, "", "error: Mordell-Weil rank must be an integer >= 0, got -1\n"
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        g=st.integers(2, 5),
+        s=st.integers(0, 3),
+        lo=st.integers(0, 30),
+        width=st.integers(0, 12),
+        n_cap=st.integers(2, 64),
+        mode=st.sampled_from(["faithful", "verbatim", "both"]),
+    )
+    def test_document_is_a_fold_of_one_walk_per_rank(self, g, s, lo, width, n_cap, mode):
+        code, out, _ = invoke_cli(
+            ["halt", "--genus", str(g), "--p", "7", "--bad-count", str(s),
+             "--rank", f"{lo}..{lo + width}", "--n-cap", str(n_cap), "--mode", mode]
+        )
+        modes = list(ParityMode) if mode == "both" else [ParityMode(mode)]
+        results = []
+        for rank in range(lo, lo + width + 1):
+            params = CurveParams(g=g, bad_prime_count=s, p=7, mw_rank=rank)
+            for m in modes:
+                table = halting_level(params, n_cap=n_cap, mode=m)
+                results.append(
+                    {
+                        "mw_rank": rank,
+                        "mode": m.value,
+                        "halting_level": table.halting_level,
+                        "levels_examined": len(table.rows),
+                    }
+                )
+        missed = any(r["halting_level"] is None for r in results)
+        expected = {"g": g, "p": 7, "bad_prime_count": s, "n_cap": n_cap,
+                    "results": results}
+        assert (code, out) == (
+            3 if missed else 0, canonical_text_by_json(canonicalize(expected))
+        )
 
 
 class TestSeparate:
@@ -407,6 +456,58 @@ class TestOrder:
         code, _, err = invoke_cli(argv + ["1000036000099"])
         assert code == 3
         assert "budget of 0 Brent steps" in err
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.sampled_from([2, 3, 5, 7, 11, 13, 31, 47]),
+        g=st.integers(1, 3),
+        m=st.integers(1, 4),
+        count_fp=st.integers(1, 5000),
+        s_primes=st.sets(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=3),
+    )
+    def test_t0_is_s_and_the_primes_of_n(self, p, g, m, count_fp, s_primes):
+        doc = run_json(
+            ["order", "--p", str(p), "--genus", str(g), "--count-fp", str(count_fp),
+             "--modulus-exponent", str(m), "--enlarge", ",".join(map(str, s_primes))]
+        )
+        expected = enlarged_primes_by_trial_division(s_primes, p, g, m, count_fp)
+        assert doc["enlarged_primes"] == [str(q) for q in expected]
+
+    def test_only_count_fp_is_factored(self, monkeypatch, tmp_path):
+        # p does not divide either count, so no multiple of p may be factored
+        seen = []
+        factorize = arith.factorize
+
+        def recording(n, budget=arith.DEFAULT_FACTOR_BUDGET):
+            seen.append(n)
+            return factorize(n, budget)
+
+        monkeypatch.setattr(arith, "factorize", recording)
+        count_fp = 770710125157448144
+        assert count_fp % 916109 != 0
+        for m in ("1", "2", "4"):
+            run_json(["order", "--p", "916109", "--genus", "3", "--count-fp",
+                      str(count_fp), "--modulus-exponent", m, "--enlarge", "5,11"])
+        with open(data_path("report_config.json"), encoding="utf-8") as fh:
+            config = json.load(fh)
+        config["jacobian"]["count_fp"] = 101
+        doc = run_json(["report", "--config", write_json(tmp_path, "c.json", config)])
+        assert doc["modulus_exponent"] == "2"
+        assert doc["enlarged_primes"] == ["5", "11", "101"]
+        assert seen == [count_fp] * 3 + [101]
+
+    def test_the_budget_counts_rho_work_on_count_fp_only(self):
+        # factoring N ran out of 1000 Brent steps on the p-part; count_fp alone
+        # fits, and T0 is what factoring N gives at the default budget
+        p, count_fp = 941929, 834023436675534085
+        argv = ["order", "--p", str(p), "--genus", "3", "--count-fp", str(count_fp),
+                "--modulus-exponent", "4", "--enlarge", "7"]
+        doc = run_json(argv + ["--factor-budget", "1000"])
+        n = count_fp * p**9
+        assert doc["annihilator"] == str(n)
+        assert doc["enlarged_primes"] == [
+            str(q) for q in sorted(arith.prime_factors(n) | {7})
+        ]
 
 
 class TestDescentSim:
@@ -756,6 +857,30 @@ class TestCanonicalDataclass:
         doc = Node(Unconvertible(), (Leaf(Colour.RED, frozenset(), (10**700,), None),))
         with pytest.raises(DigitLimitError):
             canonicalize(doc)
+
+
+_CANONICAL_TEXT = st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aZ\u00e9\u2028\U0001f600')
+    | st.characters()
+)
+
+
+class TestCanonicalEmitter:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        doc=st.recursive(
+            st.none() | st.booleans() | st.integers() | _CANONICAL_TEXT,
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(_CANONICAL_TEXT, inner, max_size=4),
+            max_leaves=24,
+        )
+    )
+    def test_matches_json_dumps(self, doc):
+        assert canonical_dumps(doc) == canonical_text_by_json(canonicalize(doc))
+
+    def test_empty_and_nested_containers(self):
+        doc = {"b": [], "a": {}, "c": [{}, [[]], {"y": None, "x": True}]}
+        assert canonical_dumps(doc) == canonical_text_by_json(doc)
 
 
 class TestParserReuse:
