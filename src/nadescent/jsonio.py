@@ -6,11 +6,14 @@ Two rules keep the wire format trustworthy:
   here (annihilators, group orders, bound-table entries) routinely exceed
   2^53, and a format in which some integers survive a JSON round trip
   through other tooling and some do not is worse than one uniform rule.
-  Parsing accepts either form.
+  Parsing accepts either form, and reads an integer coefficient straight
+  into the integers a :class:`PadicSeries` stores.
 * Output is canonical: keys sorted, two-space indent, trailing newline.
   Identical inputs produce byte-identical reports, whatever dict insertion
   order produced them.  A dataclass is written as the object of its
-  fields, so a field name is a wire key.
+  fields, so a field name is a wire key.  One walk writes the text and
+  converts its ints only at the end, so an int past the int/str digit
+  limit is refused first; ``canonicalize`` is the parse of that text.
 
 Floats are rejected outright -- nothing in this package is approximate in
 the floating-point sense, so a float in a document is always a mistake.
@@ -24,8 +27,9 @@ import math
 import re
 import sys
 from dataclasses import fields, is_dataclass
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple, Union
 
 from .arith import is_prime
 from .errors import DigitLimitError, DomainError, InvariantError, check_int
@@ -112,13 +116,14 @@ def _precision(doc: Any, path: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def coeff_from_json(obj: Any, p: int, prec: int, path: str) -> PadicNumber:
-    """Accepts an integer (or decimal string) for an exact value at the
-    ambient precision, or one of the explicit forms
+def coeff_from_json(obj: Any, p: int, path: str) -> Union[int, PadicNumber]:
+    """An integer (or decimal string) as that int, an exact value to be
+    carried at the ambient precision, or the PadicNumber of one of the
+    explicit forms
     ``{"zero": true}``, ``{"zero_to": k}``, ``{"val": v, "unit": u, "prec": n}``.
     """
     if isinstance(obj, (int, str)) and not isinstance(obj, bool):
-        return PadicNumber.from_int(p, parse_int(obj, path), prec)
+        return parse_int(obj, path)
     if isinstance(obj, dict):
         if obj.get("zero") is True:
             return PadicNumber.zero(p)
@@ -153,7 +158,7 @@ def series_from_json(
     if not isinstance(coeffs_raw, list) or not coeffs_raw:
         raise DomainError(f"{path}.coeffs: expected a nonempty array")
     coeffs = [
-        coeff_from_json(c, p, prec, f"{path}.coeffs[{i}]")
+        c if type(c) is int else coeff_from_json(c, p, f"{path}.coeffs[{i}]")
         for i, c in enumerate(coeffs_raw)
     ]
     bound_raw = _optional(obj, "weierstrass_bound")
@@ -175,7 +180,7 @@ def series_from_json(
                 f"supplied coefficients"
             )
     try:
-        return PadicSeries(p, coeffs, bound)
+        return PadicSeries(p, coeffs, bound, prec)
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from exc
 
@@ -277,9 +282,7 @@ def observable_from_json(doc: Any, p: int, prec: int, path: str) -> Observable:
             parse_int(letter, f"{tpath}.word[{j}]")
             for j, letter in enumerate(word_raw)
         )
-        coeff = coeff_from_json(
-            require(term_obj, "coeff", tpath), p, prec, f"{tpath}.coeff"
-        )
+        coeff = coeff_from_json(require(term_obj, "coeff", tpath), p, f"{tpath}.coeff")
         terms.append((word, coeff))
     try:
         return Observable.from_terms(p, terms, prec)
@@ -324,13 +327,110 @@ def descent_fixture_from_json(
 # ---------------------------------------------------------------------------
 
 
-def canonicalize(obj: Any) -> Any:
-    """Recursively prepare a document: ints become decimal strings, enums
-    their values, dataclass instances the objects of their fields; floats
-    are a hard error.  An int whose bit length alone puts it past the
-    int/str digit limit is refused before any conversion."""
-    _refuse_long_ints(obj, _unprintable_bits())
-    return _canonical(obj)
+def canonical_dumps(doc: Any) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2) + "\\n"``, ASCII only,
+    where value is doc with ints as decimal strings, enums as their values,
+    dataclasses as the objects of their fields, tuples as arrays and sets as
+    arrays sorted by their elements' canonical values (``["12", "5"]``).
+
+    One walk appends the pieces of the text, an int as itself, and they are
+    converted and joined after it (a set's elements are converted to sort
+    it, once the set is walked).  An int whose bit length puts it past the
+    int/str digit limit is refused when the walk reaches it, anything else
+    (a float, a non-string key, an unserializable value) after the walk."""
+    pieces: List[Any] = []  # strs, and ints converted when the walk is done
+    faults: List[InvariantError] = []
+    try:
+        _walk(doc, "\n", pieces, _unprintable_bits(), faults)
+        if faults:
+            raise faults[0]
+        pieces.append("\n")
+        return "".join(map(str, pieces))
+    except ValueError:  # int -> str fails only past the digit limit
+        raise _digit_limit_error() from None
+
+
+def canonicalize(doc: Any) -> Any:
+    """The canonical value of ``doc``: the parse of its canonical text."""
+    return json.loads(canonical_dumps(doc))
+
+
+def _walk(
+    x: Any, newline: str, out: List[Any], min_bits: float, faults: list
+) -> None:
+    """Append the pieces of the text of ``x`` to ``out``, ``newline`` being a
+    line break and x's indent; the plain types are tested first, by type."""
+    t = type(x)
+    if t is str:
+        out.append(_quote(x))
+    elif t is int:
+        if x.bit_length() >= min_bits:
+            raise _digit_limit_error()
+        out += ('"', x, '"')
+    elif t is dict:
+        inner = newline + "  "
+        sep = "{" + inner
+        try:
+            keys = sorted(x)
+        except TypeError:  # keys of unlike types, refused below
+            keys = list(x)
+        for key in keys:
+            if type(key) is not str and not isinstance(key, str):
+                message = f"non-string key {key!r} reached the serializer"
+                faults.append(InvariantError(message))
+                _walk(x[key], inner, [], min_bits, faults)  # for its long ints
+                continue
+            out.append(sep + _quote(key) + ": ")
+            _walk(x[key], inner, out, min_bits, faults)
+            sep = "," + inner
+        out.append("{}" if sep[0] == "{" else newline + "}")
+    elif t is list or t is tuple:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in x:
+            out.append(sep)
+            _walk(item, inner, out, min_bits, faults)
+            sep = "," + inner
+        out.append("[]" if sep[0] == "[" else newline + "]")
+    elif t is bool or x is None:
+        out.append(_LITERALS[x])
+    elif isinstance(x, enum.Enum):  # before str and int: a mixin member is its value
+        _walk(x.value, newline, out, min_bits, faults)
+    elif isinstance(x, str):
+        out.append(_quote(x))
+    elif isinstance(x, int):  # a subclass, kept unconverted as an int is
+        if x.bit_length() >= min_bits:
+            raise _digit_limit_error()
+        out += ('"', x, '"')
+    elif isinstance(x, (dict, list, tuple)):
+        plain = dict(x) if isinstance(x, dict) else list(x)
+        _walk(plain, newline, out, min_bits, faults)
+    elif isinstance(x, (set, frozenset)):
+        _walk(list(x), newline, [], min_bits, faults)  # refusals before the sort
+        if not faults:
+            _walk(sorted(x, key=_set_order), newline, out, min_bits, faults)
+    elif is_dataclass(x) and not isinstance(x, type):
+        record = {name: getattr(x, name) for name in _field_names(type(x))}
+        _walk(record, newline, out, min_bits, faults)
+    elif isinstance(x, float):
+        message = f"float {x!r} reached the serializer; all arithmetic here is exact"
+        faults.append(InvariantError(message))
+    else:
+        faults.append(InvariantError(f"unserializable value {x!r}"))
+
+
+@cache
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """The field names of a dataclass, looked up once per class."""
+    return tuple(f.name for f in fields(cls))
+
+
+def _set_order(x: Any) -> Any:
+    """The canonical value of a set element, by which a set is sorted."""
+    return str(x) if type(x) is int else x if type(x) is str else canonicalize(x)
+
+
+_LITERALS = {True: "true", False: "false", None: "null"}
 
 
 def _unprintable_bits() -> float:
@@ -354,106 +454,6 @@ def _digit_limit_error() -> DigitLimitError:
         f"interpreter's int/str limit of {sys.get_int_max_str_digits()}; "
         "raise PYTHONINTMAXSTRDIGITS (0 lifts it) to print it"
     )
-
-
-def _fields(obj: Any) -> Optional[Dict[str, Any]]:
-    """The fields of a dataclass instance by name; None for anything else."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in fields(obj)}
-    return None
-
-
-def _refuse_long_ints(obj: Any, min_bits: int) -> None:
-    if isinstance(obj, enum.Enum):
-        _refuse_long_ints(obj.value, min_bits)
-    elif isinstance(obj, int):
-        if obj.bit_length() >= min_bits:
-            raise _digit_limit_error()
-    elif isinstance(obj, dict):
-        for v in obj.values():
-            _refuse_long_ints(v, min_bits)
-    elif isinstance(obj, (list, tuple, set, frozenset)):
-        for v in obj:
-            _refuse_long_ints(v, min_bits)
-    elif (record := _fields(obj)) is not None:
-        _refuse_long_ints(record, min_bits)
-
-
-def _canonical(obj: Any) -> Any:
-    # an enum first: a str-mixin member must become its plain value
-    if isinstance(obj, enum.Enum):
-        return _canonical(obj.value)
-    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
-        return obj
-    if isinstance(obj, int):
-        try:
-            return str(obj)
-        except ValueError:  # int -> str fails only past the digit limit
-            raise _digit_limit_error() from None
-    if isinstance(obj, float):
-        raise InvariantError(
-            f"float {obj!r} reached the serializer; all arithmetic here is exact"
-        )
-    if isinstance(obj, dict):
-        out = {}
-        for k, v in obj.items():
-            if not isinstance(k, str):
-                raise InvariantError(f"non-string key {k!r} reached the serializer")
-            out[k] = _canonical(v)
-        return out
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(_canonical(v) for v in obj)
-    record = _fields(obj)
-    if record is not None:
-        return _canonical(record)
-    raise InvariantError(f"unserializable value {obj!r}")
-
-
-def canonical_dumps(doc: Any) -> str:
-    """The canonical text of ``doc``: the bytes of
-    ``json.dumps(canonicalize(doc), sort_keys=True, indent=2) + "\\n"``,
-    ASCII only, written by a direct emitter (``indent`` would send
-    ``json.dumps`` down its pure-Python encoder)."""
-    out: List[str] = []
-    _emit(canonicalize(doc), "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _emit(obj: Any, newline: str, out: List[str]) -> None:
-    """Append the indented text of a canonical value (dict, list, str, bool or
-    None) to ``out``; ``newline`` is a line break and the indent of obj's line."""
-    if isinstance(obj, str):
-        out.append(_quote(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
-            out.append(sep + _quote(key) + ": ")
-            _emit(obj[key], inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(obj, list):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in obj:
-            out.append(sep)
-            _emit(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    else:
-        out.append(_LITERALS[obj])
-
-
-_LITERALS = {True: "true", False: "false", None: "null"}
 
 
 def load_json_file(filename: str) -> Any:

@@ -353,9 +353,10 @@ class PadicSeries:
 
     The private slot ``_floors`` holds the valuation floor of every
     coefficient and the relative precision they share (None when they
-    differ), computed on first use: a series read by several products,
-    scalar multiples or sums takes each valuation once.  :meth:`vals`
-    returns a copy.
+    differ), computed when the series is built from its coefficients and
+    otherwise on first use: a series read by several products, scalar
+    multiples or sums takes each valuation once.  :meth:`vals` returns a
+    copy.
     """
 
     __slots__ = ("p", "base", "ints", "abss", "weierstrass_bound", "_floors")
@@ -363,31 +364,54 @@ class PadicSeries:
     def __init__(
         self,
         p: int,
-        coeffs: Sequence[PadicNumber],
+        coeffs: Sequence[Union[int, PadicNumber]],
         weierstrass_bound: Optional[int] = None,
+        prec: int = DEFAULT_PRECISION,
     ):
-        coeffs = tuple(coeffs)
-        if not coeffs:
+        """The series of ``coeffs``: a PadicNumber as it is, an int x = u p^v
+        (u a unit) as the unit form (u mod p^prec) p^v that
+        :meth:`PadicNumber.from_int` gives, stored without building one.
+        The valuations taken on the way are kept in ``_floors``."""
+        if not isinstance(p, int) or p < 2:
+            raise DomainError(f"p must be an integer >= 2, got {p!r}")
+        vals, units, abss, mod = [], [], [], None
+        for x in coeffs:
+            if isinstance(x, PadicNumber):
+                if x.p != p:
+                    raise PrimeMismatchError(
+                        f"coefficient over p={x.p} in a series over p={p}"
+                    )
+                a = _INF if x.is_exact_zero() else x.abs_prec()
+                v, u = (a, 0) if x.unit is None else (x.val, x.unit)
+            elif not isinstance(x, int):
+                raise DomainError(f"coefficient {x!r} is not an int or PadicNumber")
+            elif not x:
+                v, u, a = _INF, 0, _INF
+            else:
+                if mod is None:
+                    if prec < 1:
+                        msg = f"relative precision must be >= 1, got {prec}"
+                        raise DomainError(msg)
+                    mod = p**prec
+                v = 0 if x % p else v_p(x, p)
+                u, a = (x // p**v if v else x) % mod, v + prec
+            vals.append(v)
+            units.append(u)
+            abss.append(a)
+        if not vals:
             raise DomainError("a series needs at least its constant coefficient")
-        for c in coeffs:
-            if not isinstance(c, PadicNumber):
-                raise DomainError(f"coefficient {c!r} is not a PadicNumber")
-            if c.p != p:
-                raise PrimeMismatchError(
-                    f"coefficient over p={c.p} in a series over p={p}"
-                )
-        base = min((c.val for c in coeffs if c.unit is not None), default=0)
-        ints = [0 if c.unit is None else c.unit * p ** (c.val - base) for c in coeffs]
-        abss = [_INF if c.is_exact_zero() else c.abs_prec() for c in coeffs]
-        self._store(p, base, ints, abss, weierstrass_bound)
+        base = min((v for v, u in zip(vals, units) if u), default=0)
+        ints = [u * p ** (v - base) if u else 0 for v, u in zip(vals, units)]
+        floors = (vals, _relative_precision(vals, abss))
+        self._store(p, base, ints, abss, floors, weierstrass_bound)
 
-    def _store(self, p, base, ints, abss, bound) -> None:
+    def _store(self, p, base, ints, abss, floors, bound) -> None:
         n = len(ints)
         if bound is not None and not 0 <= bound <= n - 1:
             raise DomainError(f"weierstrass bound {bound} outside 0..{n - 1}")
         if bound is not None and bound + 1 < n:
             _check_bound(p, base, ints, abss, bound)
-        for name, value in zip(self.__slots__, (p, base, ints, abss, bound, None)):
+        for name, value in zip(self.__slots__, (p, base, ints, abss, bound, floors)):
             object.__setattr__(self, name, value)
 
     def _floor_data(self) -> tuple:
@@ -418,19 +442,16 @@ class PadicSeries:
         ``weierstrass_bound="auto"`` uses the honest polynomial degree (the
         largest index with a nonzero coefficient).
         """
-        coeffs = [PadicNumber.from_int(p, n, prec) for n in ints]
         if weierstrass_bound == "auto":
             weierstrass_bound = max((i for i, n in enumerate(ints) if n), default=0)
-        return cls(p, coeffs, weierstrass_bound)
+        return cls(p, ints, weierstrass_bound, prec)
 
     @classmethod
     def constant(
         cls, p: int, value: int, trunc: int, prec: int = DEFAULT_PRECISION
     ) -> "PadicSeries":
         """The constant ``value`` padded with exact zeros through degree trunc."""
-        head = PadicNumber.from_int(p, value, prec)
-        tail = [PadicNumber.zero(p)] * trunc
-        return cls(p, [head] + tail, 0)
+        return cls(p, [value] + [0] * trunc, 0, prec)
 
     # -- shape -------------------------------------------------------------
 
@@ -638,7 +659,7 @@ class PadicSeries:
 def _series(p: int, base: int, ints: list, abss: list, bound=None) -> PadicSeries:
     """The series stored so; ``ints`` reduced, lists kept and never changed."""
     out = object.__new__(PadicSeries)
-    out._store(p, base, ints, abss, bound)
+    out._store(p, base, ints, abss, None, bound)
     return out
 
 

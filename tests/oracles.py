@@ -20,14 +20,18 @@ mathematics or brute force than the library under test:
 * The enlarged prime set T0, which the CLI forms from primes(#J(F_p)) and
   p without factoring N, is checked against the primes of N itself found
   by trial division.
-* The direct canonical emitter is checked against ``json.dumps`` with
-  sorted keys and a two-space indent.
+* The one-walk canonical emitter is checked against ``json.dumps`` with
+  sorted keys and a two-space indent, applied to the document made
+  canonical by two separate walks (a bit-length refusal pass, then a
+  conversion pass), and ``canonicalize`` against that document.
 * Every series operation (sum, scalar and integer multiples, derivative,
   antiderivative, p-rescale, Taylor shift, evaluation at an integer,
   product, weighted sum), which runs on the stored coefficient integers,
   is checked against a loop that chains one ``PadicNumber`` operation per
   term, so that every intermediate result is rounded by the scalar
-  arithmetic.  The
+  arithmetic.  A series read from integers, which never builds a
+  ``PadicNumber`` per coefficient, is checked against the stored form of
+  one built from ``PadicNumber.from_int``.  The
   rationals 1/(i + 1) of the antiderivative enter that loop through a
   ``pow`` inverse written here, not through the library.
 * The Strassmann count of roots of valuation >= 1 is checked against the
@@ -49,16 +53,24 @@ mathematics or brute force than the library under test:
 
 from __future__ import annotations
 
+import enum
 import itertools
 import json
 import math
+import sys
 from collections import Counter
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from nadescent.errors import DomainError, RootCountPrecisionError
+from nadescent.errors import (
+    DigitLimitError,
+    DomainError,
+    InvariantError,
+    RootCountPrecisionError,
+)
 from nadescent.padic_series import (
     DEFAULT_PRECISION,
     IsolationFailure,
@@ -476,6 +488,17 @@ def bound_refusal_by_valuations(f, bound: int) -> Optional[str]:
     return None
 
 
+def series_parts_by_numbers(p: int, coeffs) -> Tuple[int, list, list, list]:
+    """(base, ints, abss, valuation floors) of the series of the
+    PadicNumbers ``coeffs``, read off each number: base the least valuation
+    of a unit form, a unit form stored as unit * p^(val - base)."""
+    base = min((c.val for c in coeffs if c.unit is not None), default=0)
+    ints = [0 if c.unit is None else c.unit * p ** (c.val - base) for c in coeffs]
+    abss = [math.inf if c.is_exact_zero() else c.abs_prec() for c in coeffs]
+    vals = [math.inf if c.is_exact_zero() else c.val for c in coeffs]
+    return base, ints, abss, vals
+
+
 def series_mul_by_objects(f, g):
     """Coefficients of f g: one * and one + per pair of terms."""
     fc, gc = f.coeffs, g.coeffs
@@ -765,3 +788,76 @@ def enlarged_primes_by_trial_division(
 def canonical_text_by_json(canonical) -> str:
     """The canonical text of an already canonicalized value."""
     return json.dumps(canonical, sort_keys=True, indent=2) + "\n"
+
+
+def canonicalize_by_walk(obj):
+    """The canonical value of a document by two walks: first every int's bit
+    length against the int/str digit limit, then the conversion (ints to
+    decimal strings, enums to their values, dataclasses to the dicts of
+    their fields, tuples to lists, sets to sorted lists of their converted
+    elements)."""
+    limit = sys.get_int_max_str_digits()
+    min_bits = -(-limit * 10**8 // 30102999) + 1 if limit else math.inf
+    _refuse_long_ints_by_walk(obj, min_bits)
+    return _convert_by_walk(obj)
+
+
+def _digit_limit_by_walk() -> DigitLimitError:
+    return DigitLimitError(
+        "an output integer has more decimal digits than this "
+        f"interpreter's int/str limit of {sys.get_int_max_str_digits()}; "
+        "raise PYTHONINTMAXSTRDIGITS (0 lifts it) to print it"
+    )
+
+
+def _fields_by_walk(obj):
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return None
+
+
+def _refuse_long_ints_by_walk(obj, min_bits) -> None:
+    if isinstance(obj, enum.Enum):
+        _refuse_long_ints_by_walk(obj.value, min_bits)
+    elif isinstance(obj, int):
+        if obj.bit_length() >= min_bits:
+            raise _digit_limit_by_walk()
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            _refuse_long_ints_by_walk(v, min_bits)
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        for v in obj:
+            _refuse_long_ints_by_walk(v, min_bits)
+    elif (record := _fields_by_walk(obj)) is not None:
+        _refuse_long_ints_by_walk(record, min_bits)
+
+
+def _convert_by_walk(obj):
+    if isinstance(obj, enum.Enum):
+        return _convert_by_walk(obj.value)
+    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
+        return obj
+    if isinstance(obj, int):
+        try:
+            return str(obj)
+        except ValueError:
+            raise _digit_limit_by_walk() from None
+    if isinstance(obj, float):
+        raise InvariantError(
+            f"float {obj!r} reached the serializer; all arithmetic here is exact"
+        )
+    if isinstance(obj, dict):
+        out = {}
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise InvariantError(f"non-string key {k!r} reached the serializer")
+            out[k] = _convert_by_walk(v)
+        return out
+    if isinstance(obj, (list, tuple)):
+        return [_convert_by_walk(v) for v in obj]
+    if isinstance(obj, (set, frozenset)):
+        return sorted(_convert_by_walk(v) for v in obj)
+    record = _fields_by_walk(obj)
+    if record is not None:
+        return _convert_by_walk(record)
+    raise InvariantError(f"unserializable value {obj!r}")

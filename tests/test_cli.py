@@ -13,12 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nadescent import arith, cli
-from nadescent.errors import DigitLimitError
+from nadescent.errors import DigitLimitError, InvariantError
 from nadescent.jsonio import canonical_dumps, canonicalize
 from nadescent.selmer_bounds import CurveParams, ParityMode, halting_level
 
 from .conftest import data_path, invoke_cli, write_json
-from .oracles import canonical_text_by_json, enlarged_primes_by_trial_division
+from .oracles import (
+    canonical_text_by_json,
+    canonicalize_by_walk,
+    enlarged_primes_by_trial_division,
+)
 
 
 def run_json(argv):
@@ -814,8 +818,55 @@ class TestDigitLimitPrecheck:
             canonicalize(doc)
 
 
+class TestCanonicalDumpsRefusalOrder:
+    """``canonical_dumps`` refuses a long int before it converts any int,
+    and before it raises an InvariantError met earlier in its walk."""
+
+    @pytest.mark.parametrize("bits", range(2120, 2140))
+    def test_bit_length_refusal_agrees_with_str(self, low_digit_limit, bits):
+        for n in (2**bits - 1, 2**bits, -(2**bits)):
+            try:
+                want = canonical_text_by_json({"rows": [str(n)]})
+            except ValueError:
+                want = None
+            try:
+                got = canonical_dumps({"rows": [n]})
+            except DigitLimitError:
+                got = None
+            assert got == want
+
+    def test_refuses_before_converting_the_rows(self, low_digit_limit):
+        with pytest.raises(DigitLimitError):
+            canonical_dumps([Unconvertible(), 10**700])
+
+    def test_long_field_is_refused_before_any_conversion(self, low_digit_limit):
+        doc = Node(Unconvertible(), (Leaf(Colour.RED, frozenset(), (10**700,), None),))
+        with pytest.raises(DigitLimitError):
+            canonical_dumps(doc)
+
+    @pytest.mark.parametrize(
+        "fault", [1.5, {3: "key"}, object()], ids=["float", "key", "object"]
+    )
+    def test_a_long_int_wins_over_a_fault_on_either_side(self, low_digit_limit, fault):
+        for doc in ([fault, 10**700], [10**700, fault], {"a": fault, "b": [10**700]}):
+            with pytest.raises(DigitLimitError):
+                canonical_dumps(doc)
+        with pytest.raises(DigitLimitError):
+            canonical_dumps({1: 10**700})
+
+    def test_a_set_is_walked_for_refusals_before_it_is_sorted(self, low_digit_limit):
+        for doc in ([frozenset({10**700, 3})], [frozenset({(1, 1.5)}), 10**700]):
+            with pytest.raises(DigitLimitError):
+                canonical_dumps(doc)
+
+    def test_a_float_alone_is_an_invariant_error(self):
+        with pytest.raises(InvariantError, match="float 1.5"):
+            canonical_dumps({"x": [1, 1.5]})
+
+
 class Colour(str, enum.Enum):
     RED = "red"
+    BLUE = "blue"
 
 
 @dataclass(frozen=True)
@@ -865,6 +916,35 @@ _CANONICAL_TEXT = st.text(
 )
 
 
+def _records(inner):
+    ints = st.integers(-(2**80), 2**80)
+    leaf = st.builds(
+        Leaf,
+        colour=st.sampled_from(Colour),
+        tags=st.frozensets(st.integers(10, 10**6), max_size=5),
+        digits=st.lists(ints, max_size=3).map(tuple),
+        missing=inner,
+    )
+    leaves = st.lists(leaf | inner, max_size=3).map(tuple)
+    node = st.builds(Node, count=ints, leaves=leaves)
+    return leaf | node
+
+
+_DOCUMENTS = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**80), 2**80)
+    | _CANONICAL_TEXT
+    | st.sampled_from(Colour)
+    | st.frozensets(st.integers(10, 10**6), max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_CANONICAL_TEXT, inner, max_size=4)
+    | _records(inner),
+    max_leaves=24,
+)
+
+
 class TestCanonicalEmitter:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -876,7 +956,14 @@ class TestCanonicalEmitter:
         )
     )
     def test_matches_json_dumps(self, doc):
-        assert canonical_dumps(doc) == canonical_text_by_json(canonicalize(doc))
+        assert canonical_dumps(doc) == canonical_text_by_json(canonicalize_by_walk(doc))
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_DOCUMENTS)
+    def test_matches_the_two_walk_canonicalizer(self, doc):
+        want = canonicalize_by_walk(doc)
+        assert canonical_dumps(doc) == canonical_text_by_json(want)
+        assert canonicalize(doc) == want
 
     def test_empty_and_nested_containers(self):
         doc = {"b": [], "a": {}, "c": [{}, [[]], {"y": None, "x": True}]}

@@ -19,6 +19,7 @@ from nadescent import (
 )
 from nadescent import padic_series
 from nadescent.arith import v_p
+from nadescent.jsonio import series_from_json
 from nadescent.errors import (
     MultipleRootSuspectedError,
     PrecisionExhaustedError,
@@ -40,6 +41,7 @@ from .oracles import (
     completions,
     isolate_classes_by_recursion,
     root_count_by_hull,
+    series_parts_by_numbers,
     strassmann_vertex_by_valuations,
 )
 
@@ -180,7 +182,10 @@ class TestValuationFloors:
         ).coeffs
 
     def test_products_and_multiples_take_each_valuation_once(self, monkeypatch):
-        f, g = S([5, 1, 0, 25]), S([2, 50, 3])
+        # a series made by an operation takes its floors on first use; one
+        # built from integers has them from the start (the next test)
+        f = S([5, 1, 0, 25]).with_weierstrass_bound(None)
+        g = S([2, 50, 3]).with_weierstrass_bound(None)
         calls = []
         real = padic_series._valuations
 
@@ -193,6 +198,91 @@ class TestValuationFloors:
         for _ in range(3):
             f * g, g * f, f.scale(c), g.scale(c), f.vals()
         assert sorted(calls) == [3, 4]
+
+    def test_series_built_from_coefficients_take_no_valuation_later(self, monkeypatch):
+        built = [
+            S([5, 1, 0, 25]),
+            PadicSeries.constant(5, 50, 3),
+            PadicSeries(5, [PadicNumber.zero_to(5, 3), -75, PadicNumber.zero(5)]),
+        ]
+        calls = []
+        monkeypatch.setattr(padic_series, "_valuations", lambda *a: calls.append(a))
+        vals = [f.vals() for f in built]
+        assert calls == []
+        monkeypatch.undo()
+        assert vals == [f.with_weierstrass_bound(None).vals() for f in built]
+
+
+@st.composite
+def _coefficient_docs(draw):
+    """(p, prec, coefficient documents, their PadicNumbers, bound)."""
+    p = draw(st.sampled_from([2, 3, 5, 31]))
+    prec = draw(st.integers(1, 30))
+    docs, numbers = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        x = draw(st.integers(-(2**400), 2**400) | st.just(0))
+        x *= p ** draw(st.sampled_from([0, 0, 1, 2, 7]))
+        form = draw(st.sampled_from(["int", "str", "zero", "zero_to", "unit"]))
+        if form == "int" or form == "str" or (form == "unit" and not x):
+            sign = draw(st.sampled_from(["", " ", "+" if x >= 0 else ""]))
+            docs.append(x if form == "int" else f"{sign}{x} ")
+            numbers.append(PadicNumber.from_int(p, x, prec))
+        elif form == "zero":
+            docs.append({"zero": True})
+            numbers.append(PadicNumber.zero(p))
+        elif form == "zero_to":
+            k = draw(st.integers(-3, 40))
+            docs.append({"zero_to": k})
+            numbers.append(PadicNumber.zero_to(p, k))
+        else:
+            val, cprec = draw(st.integers(-3, 40)), draw(st.integers(1, 30))
+            docs.append({"val": val, "unit": x // p ** v_p(x, p), "prec": cprec})
+            numbers.append(PadicNumber(p, val, x // p ** v_p(x, p), cprec))
+    bound = draw(st.none() | st.integers(-1, len(docs)))
+    return p, prec, docs, numbers, bound
+
+
+def _stored_form(build):
+    """The stored form of ``build()``, or the text of its DomainError."""
+    try:
+        f = build()
+    except DomainError as exc:
+        return str(exc)
+    return f.base, f.ints, f.abss, f.weierstrass_bound, f.vals()
+
+
+class TestSeriesFromValues:
+    """A series read from integers, without a PadicNumber per coefficient,
+    is stored as the series of the numbers ``PadicNumber.from_int`` gives."""
+
+    @staticmethod
+    def _want(p, numbers, bound):
+        failed = _stored_form(lambda: PadicSeries(p, numbers, bound))
+        if isinstance(failed, str):
+            return failed
+        base, ints, abss, vals = series_parts_by_numbers(p, numbers)
+        return base, ints, abss, bound, vals
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_coefficient_docs())
+    def test_parse_matches_the_series_of_numbers(self, case):
+        p, prec, docs, numbers, bound = case
+        want = self._want(p, numbers, bound)
+        doc = {"coeffs": docs, "weierstrass_bound": bound}
+        got = _stored_form(lambda: series_from_json(doc, p, prec, "$"))
+        assert got == (f"$: {want}" if isinstance(want, str) else want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_coefficient_docs())
+    def test_int_constructors_match_the_series_of_numbers(self, case):
+        p, prec, docs, _, bound = case
+        ints = [int(d) for d in docs if not isinstance(d, dict)] or [0]
+        numbers = [PadicNumber.from_int(p, x, prec) for x in ints]
+        got = _stored_form(lambda: PadicSeries.from_int_coeffs(p, ints, prec, bound))
+        assert got == self._want(p, numbers, bound)
+        head, trunc = ints[-1], len(ints) - 1
+        want = self._want(p, numbers[-1:] + [PadicNumber.zero(p)] * trunc, 0)
+        assert _stored_form(lambda: PadicSeries.constant(p, head, trunc, prec)) == want
 
 
 class TestNewtonPolygon:
