@@ -45,6 +45,14 @@ def is_prime(n: int) -> bool:
     return _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
 
 
+def check_prime(n, name: str) -> int:
+    """``n`` if it is a prime int (not a bool); the one check of every prime
+    the package takes as input."""
+    if not isinstance(n, int) or isinstance(n, bool) or not is_prime(n):
+        raise DomainError(f"{name}: {n!r} is not prime")
+    return n
+
+
 def _strong_probable_prime(n: int, bases) -> bool:
     """Miller-Rabin to each base, for odd n above all of them."""
     d = n - 1

@@ -62,7 +62,7 @@ from .jsonio import (
     require,
     series_to_json,
 )
-from .lie_dims import DEFAULT_LEVEL_CAP, cumulative_dim, graded_dims, validate_genus
+from .lie_dims import DEFAULT_LEVEL_CAP, cumulative_dim, graded_dims
 from .padic_series import DEFAULT_DEPTH_CAP, SeparationStatus, separation_modulus
 from .selmer_bounds import (
     DEFAULT_N_CAP,
@@ -156,11 +156,10 @@ def _enlarged_primes(
 
 
 def _cmd_dims(args) -> Tuple[int, Doc]:
-    if args.n_max < 0:
-        raise DomainError(f"--n: expected a degree >= 0, got {args.n_max}")
+    check_int(args.n_max, "--n", 0)
     rows = []
     if args.n_max == 0:
-        validate_genus(args.genus)
+        check_int(args.genus, "genus", 2)
     else:
         dims = graded_dims(args.genus, args.n_max, cap=args.cap)
         for n in range(1, args.n_max + 1):
@@ -604,8 +603,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         code, doc = command.handler(args)
         text = _render(command, args.output, doc)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise DomainError(f"cannot write {args.out!r}: {exc}") from exc
         else:
             sys.stdout.write(text)
         return code

@@ -34,7 +34,8 @@ import warnings
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Sequence, Tuple
 
-from .arith import DEFAULT_FACTOR_BUDGET, is_prime, prime_factors
+from .arith import DEFAULT_FACTOR_BUDGET, check_prime, prime_factors
+from .arith import is_prime  # bench/tracing.py wraps it here
 from .errors import DomainError, check_int
 
 
@@ -81,8 +82,7 @@ class JacobianLocalData:
     count_fp: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or not is_prime(self.p):
-            raise DomainError(f"p must be prime, got {self.p!r}")
+        check_prime(self.p, "p")
         check_int(self.g, "abelian variety dimension", 1)
         check_int(self.count_fp, "residue point count", 1)
         lo = _pair_pow((self.p + 1, -2), self.g, self.p)
@@ -119,8 +119,7 @@ def enlarged_prime_set(
     """
     s = frozenset(s_primes)
     for q in s:
-        if not isinstance(q, int) or isinstance(q, bool) or not is_prime(q):
-            raise DomainError(f"S must contain primes, got {q!r}")
+        check_prime(q, "S")
     check_int(n, "N", 1)
     if n == 1:
         return s

@@ -31,7 +31,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, List, Tuple, Union
 
-from .arith import is_prime
+from .arith import check_prime
 from .errors import DigitLimitError, DomainError, InvariantError, check_int
 from .iterated_words import Observable
 from .padic_series import (
@@ -63,7 +63,8 @@ def parse_int(value: Any, path: str) -> int:
             return int(text)
         except ValueError:  # the only way a matched decimal string fails
             raise DomainError(
-                f"{path}: a decimal integer of {_too_many_digits(len(text))}"
+                f"{path}: a decimal integer of {len(text)} digits, more than "
+                f"{_digit_limit()}"
             ) from None
     if isinstance(value, float):
         raise DomainError(
@@ -72,11 +73,10 @@ def parse_int(value: Any, path: str) -> int:
     raise DomainError(f"{path}: expected an integer, got {type(value).__name__}")
 
 
-def _too_many_digits(digits: int) -> str:
+def _digit_limit() -> str:
     return (
-        f"{digits} digits, more than this interpreter's limit of "
-        f"{sys.get_int_max_str_digits()} for int/str conversion "
-        f"(PYTHONINTMAXSTRDIGITS)"
+        f"this interpreter's limit of {sys.get_int_max_str_digits()} for "
+        f"int/str conversion (PYTHONINTMAXSTRDIGITS)"
     )
 
 
@@ -97,10 +97,7 @@ def _optional(doc: Any, key: str, default: Any = None) -> Any:
 
 def _prime(value: Any, path: str) -> int:
     """A prime p: residue classes and root counts need F_p to be a field."""
-    p = parse_int(value, path)
-    if not is_prime(p):
-        raise DomainError(f"{path}: {p} is not prime")
-    return p
+    return check_prime(parse_int(value, path), path)
 
 
 def _precision(doc: Any, path: str) -> int:
@@ -279,7 +276,7 @@ def observable_from_json(doc: Any, p: int, prec: int, path: str) -> Observable:
         if not isinstance(word_raw, list):
             raise DomainError(f"{tpath}.word: expected an array of letters")
         word = tuple(
-            parse_int(letter, f"{tpath}.word[{j}]")
+            letter if type(letter) is int else parse_int(letter, f"{tpath}.word[{j}]")
             for j, letter in enumerate(word_raw)
         )
         coeff = coeff_from_json(require(term_obj, "coeff", tpath), p, f"{tpath}.coeff")
@@ -457,18 +454,22 @@ def _digit_limit_error() -> DigitLimitError:
 
 
 def load_json_file(filename: str) -> Any:
-    def integer_literal(text: str) -> int:
-        try:
-            return int(text)
-        except ValueError:  # json hands over only valid integer literals
-            raise DomainError(
-                f"{filename}: an integer literal of {_too_many_digits(len(text))}"
-            ) from None
-
+    """The JSON document in ``filename``; every way of failing to read it is
+    a DomainError that names the file."""
     try:
         with open(filename, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_int=integer_literal)
+            text = fh.read()
     except FileNotFoundError as exc:
         raise DomainError(f"input file {filename!r} not found") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte
+        raise DomainError(f"cannot read {filename!r}: {exc}") from exc
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"{filename}: invalid JSON ({exc})") from exc
+    except RecursionError:
+        raise DomainError(f"{filename}: arrays or objects nested too deeply") from None
+    except ValueError:  # the only other one: an int literal past the digit limit
+        raise DomainError(
+            f"{filename}: an integer literal has more digits than {_digit_limit()}"
+        ) from None

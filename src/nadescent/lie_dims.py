@@ -40,10 +40,6 @@ _CACHE_GENERA = 64
 _cache: dict[int, GradedDims] = {}  # genus -> longest prefix computed so far
 
 
-def validate_genus(g: int) -> int:
-    return check_int(g, "genus", 2)
-
-
 def _extend_lucas(seq: list[int], g: int, n_max: int) -> list[int]:
     """Extend [L_0, ...] through L_n_max by L_n = 2g L_{n-1} - L_{n-2}."""
     while len(seq) <= n_max:
@@ -84,9 +80,8 @@ def graded_dims(g: int, n_max: int, cap: int = DEFAULT_LEVEL_CAP) -> GradedDims:
 
     Cached per genus: a longer request extends the longest prefix computed
     so far, a shorter one is sliced from it."""
-    validate_genus(g)
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    check_int(g, "genus", 2)
+    check_int(n_max, "n_max", 1)
     if n_max > cap:
         raise DomainError(
             f"n_max={n_max} exceeds the level cap {cap}; pass a larger cap "

@@ -92,16 +92,14 @@ class PadicNumber:
     __slots__ = ("p", "val", "unit", "prec")
 
     def __init__(self, p: int, val: Optional[int], unit: Optional[int], prec: int):
-        if not isinstance(p, int) or p < 2:
-            raise DomainError(f"p must be an integer >= 2, got {p!r}")
+        check_int(p, "p", 2)
         if unit is None:
             if prec != 0:
                 raise DomainError("zero states carry no relative precision")
             if val is not None and not isinstance(val, int):
                 raise DomainError(f"valuation bound must be an integer, got {val!r}")
         else:
-            if prec < 1:
-                raise DomainError(f"relative precision must be >= 1, got {prec}")
+            check_int(prec, "relative precision", 1)
             if not isinstance(val, int):
                 raise DomainError(f"valuation must be an integer, got {val!r}")
             unit %= p**prec
@@ -136,10 +134,6 @@ class PadicNumber:
 
     def is_exact_zero(self) -> bool:
         return self.unit is None and self.val is None
-
-    def is_unknown_zero(self) -> bool:
-        """True for O(p^k): zero at the tracked precision, tail unknown."""
-        return self.unit is None and self.val is not None
 
     def abs_prec(self) -> Optional[int]:
         """Absolute precision (exponent of the known modulus); None = exact."""
@@ -372,8 +366,7 @@ class PadicSeries:
         (u a unit) as the unit form (u mod p^prec) p^v that
         :meth:`PadicNumber.from_int` gives, stored without building one.
         The valuations taken on the way are kept in ``_floors``."""
-        if not isinstance(p, int) or p < 2:
-            raise DomainError(f"p must be an integer >= 2, got {p!r}")
+        check_int(p, "p", 2)
         vals, units, abss, mod = [], [], [], None
         for x in coeffs:
             if isinstance(x, PadicNumber):
@@ -389,10 +382,7 @@ class PadicSeries:
                 v, u, a = _INF, 0, _INF
             else:
                 if mod is None:
-                    if prec < 1:
-                        msg = f"relative precision must be >= 1, got {prec}"
-                        raise DomainError(msg)
-                    mod = p**prec
+                    mod = p ** check_int(prec, "relative precision", 1)
                 v = 0 if x % p else v_p(x, p)
                 u, a = (x // p**v if v else x) % mod, v + prec
             vals.append(v)
@@ -494,11 +484,6 @@ class PadicSeries:
         abss = list(map(min, self.abss, other.abss))
         ints = [x * sa + y * sb for x, y in zip(self.ints, other.ints)]
         return _series(p, base, _reduced(p, base, ints, abss), abss)
-
-    def __sub__(self, other: "PadicSeries") -> "PadicSeries":
-        if not isinstance(other, PadicSeries):
-            return NotImplemented
-        return self + other.scale_int(-1)
 
     def __mul__(self, other: "PadicSeries") -> "PadicSeries":
         """The product, truncated at the shorter operand.

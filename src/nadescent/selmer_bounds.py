@@ -41,9 +41,9 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .arith import is_prime
+from .arith import check_prime, is_prime  # is_prime: bench/tracing.py wraps it here
 from .errors import DomainError, ParityError, check_int
-from .lie_dims import DEFAULT_LEVEL_CAP, graded_dims, validate_genus
+from .lie_dims import DEFAULT_LEVEL_CAP, graded_dims
 
 #: Default largest level the bound recursion examines.
 DEFAULT_N_CAP = 64
@@ -79,10 +79,9 @@ class CurveParams:
     bad_primes: Optional[frozenset[int]] = None
 
     def __post_init__(self):
-        validate_genus(self.g)
+        check_int(self.g, "genus", 2)
         check_int(self.bad_prime_count, "|S|", 0)
-        if not is_prime(check_int(self.p, "p", 2)):
-            raise DomainError(f"p={self.p} is not prime")
+        check_prime(self.p, "p")
         check_int(self.mw_rank, "Mordell-Weil rank", 0)
         if self.bad_primes is not None:
             object.__setattr__(self, "bad_primes", frozenset(self.bad_primes))
@@ -94,8 +93,7 @@ class CurveParams:
             if self.p in self.bad_primes:
                 raise DomainError(f"p={self.p} must be a prime of good reduction")
             for q in self.bad_primes:
-                if not is_prime(q):
-                    raise DomainError(f"bad prime {q} is not prime")
+                check_prime(q, "bad prime")
 
 
 class BoundRow(NamedTuple):

@@ -554,7 +554,9 @@ def root_count_by_hull(f) -> int:
     """
     scope = f.coeffs[: f.weierstrass_bound + 1]
     points = [(i, c.val) for i, c in enumerate(scope) if c.unit is not None]
-    unknowns = [(i, c.val) for i, c in enumerate(scope) if c.is_unknown_zero()]
+    unknowns = [  # the O(p^k): no unit form, but not the exact zero
+        (i, c.val) for i, c in enumerate(scope) if c.unit is None and c.val is not None
+    ]
     if not points:
         raise RootCountPrecisionError("no unit-form coefficient in scope")
     hull = _lower_hull(points)
@@ -609,7 +611,7 @@ def completions(f, extra: int = 3):
     units = sorted({u for u in (1, 2, p - 1) if u % p})
     choices = []
     for i, c in enumerate(f.coeffs):
-        if i <= bound and c.is_unknown_zero():
+        if i <= bound and c.unit is None and c.val is not None:  # an O(p^k)
             choices.append([PadicNumber.zero(p)] + [
                 PadicNumber(p, j, u, 1)
                 for j in range(c.val, c.val + extra + 1)

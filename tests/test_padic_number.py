@@ -36,9 +36,9 @@ class TestConstruction:
 
     def test_zero_to(self):
         x = PadicNumber.zero_to(5, 3)
-        assert x.is_unknown_zero()
+        assert (x.unit, x.val, x.prec) == (None, 3, 0)
         assert x.abs_prec() == 3
-        assert x.val == 3
+        assert not x.is_exact_zero()
 
     def test_unit_form_normalizes_mod_p_prec(self):
         x = PadicNumber(5, 0, 7 + 25, 2)
@@ -87,13 +87,12 @@ class TestAddition:
     def test_cancellation_degrades_to_unknown_zero(self):
         x = N(7, prec=4)
         s = x + (-x)
-        assert s.is_unknown_zero()
-        assert s.abs_prec() == 4
+        assert s == PadicNumber.zero_to(5, 4)
 
     def test_unknown_zero_absorbs_lower_precision(self):
         s = PadicNumber.zero_to(5, 2) + N(25, prec=20)
         # 25 has val 2; the sum is only known to be O(5^2)
-        assert s.is_unknown_zero() and s.abs_prec() == 2
+        assert s == PadicNumber.zero_to(5, 2)
 
     def test_unknown_zero_plus_visible_unit(self):
         s = PadicNumber.zero_to(5, 4) + N(5, prec=20)
@@ -102,7 +101,7 @@ class TestAddition:
 
     def test_two_unknown_zeros(self):
         s = PadicNumber.zero_to(5, 4) + PadicNumber.zero_to(5, 2)
-        assert s.is_unknown_zero() and s.abs_prec() == 2
+        assert s == PadicNumber.zero_to(5, 2)
 
     def test_prime_mismatch(self):
         with pytest.raises(PrimeMismatchError):
@@ -121,7 +120,7 @@ class TestMultiplication:
 
     def test_unknown_zero_shifts(self):
         prod = PadicNumber.zero_to(5, 3) * PadicNumber(5, 2, 1, 4)
-        assert prod.is_unknown_zero() and prod.val == 5
+        assert prod == PadicNumber.zero_to(5, 5)
 
     def test_int_scaling_is_exact(self):
         x = PadicNumber(5, 0, 2, 3)
