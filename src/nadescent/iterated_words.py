@@ -38,7 +38,16 @@ Word = Tuple[int, ...]
 
 
 def _validate_word(word, alphabet_size: Optional[int] = None) -> Word:
+    """``word`` as a tuple of letters, each an int (not a bool) of at least 1
+    and at most ``alphabet_size`` when one is given.  A word that passes is
+    checked by C-level scans; the loop below runs only to word the refusal."""
     word = tuple(word)
+    if not word or (
+        set(map(type, word)) == {int}
+        and min(word) >= 1
+        and (alphabet_size is None or max(word) <= alphabet_size)
+    ):
+        return word
     for letter in word:
         check_int(letter, "word letter", 1)
         if alphabet_size is not None and letter > alphabet_size:
@@ -174,13 +183,15 @@ class _Integrals:
             suffix = word[k:]
             # the product stops at the truncated form's trunc coefficients
             out = (self.forms[word[k] - 1] * out).antiderivative()
-            for m, (x, prec) in enumerate(zip(out.ints, out.abss)):
-                if prec <= 0 and not x:
-                    raise PrecisionExhaustedError(
-                        f"coefficient {m} of the integral for word {suffix} "
-                        f"degraded to O({self.p}^{prec}); raise the working "
-                        f"precision of the forms"
-                    )
+            # only a precision at or below 0 can be a refusal
+            if min(out.abss) <= 0:
+                for m, (x, prec) in enumerate(zip(out.ints, out.abss)):
+                    if prec <= 0 and not x:
+                        raise PrecisionExhaustedError(
+                            f"coefficient {m} of the integral for word "
+                            f"{suffix} degraded to O({self.p}^{prec}); raise "
+                            f"the working precision of the forms"
+                        )
             memo[suffix] = out
         return out
 

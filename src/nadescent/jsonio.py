@@ -41,6 +41,7 @@ from .padic_series import (
     PadicNumber,
     PadicSeries,
 )
+from .two_sided_search import _display
 
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
 
@@ -295,7 +296,14 @@ def observable_from_json(doc: Any, p: int, prec: int, path: str) -> Observable:
 def descent_fixture_from_json(
     doc: Any, path: str = "$"
 ) -> Tuple[List[frozenset], List[frozenset]]:
-    """Point labels are opaque; they are normalized to strings on parse."""
+    """The lower and upper levels of a fixture.  Point labels are opaque;
+    they are normalized to strings on parse.
+
+    A fixture that contradicts itself is refused with the path of the level
+    at fault: a lower level that loses a point of the level before it, an
+    upper level that gains one, or a last lower level outside the last upper
+    level.  With both chains monotone, the last test is every A_n <= B_m.
+    """
 
     def levels(key: str) -> List[frozenset]:
         raw = require(doc, key, path)
@@ -316,7 +324,26 @@ def descent_fixture_from_json(
             out.append(frozenset(elems))
         return out
 
-    return levels("lower"), levels("upper")
+    lower, upper = levels("lower"), levels("upper")
+    for i in range(1, len(lower)):
+        if not lower[i] >= lower[i - 1]:
+            raise DomainError(
+                f"{path}.lower[{i}]: lower level {i} loses "
+                f"{_display(lower[i - 1] - lower[i])} of level {i - 1}"
+            )
+    for i in range(1, len(upper)):
+        if not upper[i] <= upper[i - 1]:
+            raise DomainError(
+                f"{path}.upper[{i}]: upper level {i} gains "
+                f"{_display(upper[i] - upper[i - 1])} over level {i - 1}"
+            )
+    if not lower[-1] <= upper[-1]:
+        raise DomainError(
+            f"{path}.lower[{len(lower) - 1}]: certified points "
+            f"{_display(lower[-1] - upper[-1])} escape the last upper level "
+            f"{path}.upper[{len(upper) - 1}]"
+        )
+    return lower, upper
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,9 @@ mathematics or brute force than the library under test:
   one built from ``PadicNumber.from_int``.  The
   rationals 1/(i + 1) of the antiderivative enter that loop through a
   ``pow`` inverse written here, not through the library.
+* The min-plus convolution that gives a product its precisions, which
+  packs valuations into one long multiply, is checked against a double
+  loop over every pair of entries.
 * The Strassmann count of roots of valuation >= 1 is checked against the
   lower convex hull of the Newton polygon, with the hull's own stricter
   refusal rule, and against the hull's count on every brute-force
@@ -508,6 +511,16 @@ def series_mul_by_objects(f, g):
         for i in range(d + 1):
             acc = acc + fc[i] * gc[d - i]
         out.append(acc)
+    return out
+
+
+def min_plus_by_pairs(xs: Sequence, ys: Sequence) -> list:
+    """Entry d is the least xs[i] + ys[j] over i + j = d, for d below the
+    common length, by a double loop over the pairs (+inf for none)."""
+    out = [math.inf] * len(xs)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys[: len(xs) - i]):
+            out[i + j] = min(out[i + j], x + y)
     return out
 
 

@@ -549,6 +549,39 @@ class TestDescentSim:
         assert code == 2
         assert "$.lower[0][0]" in err
 
+    @pytest.mark.parametrize(
+        "fixture, message",
+        [
+            (
+                {
+                    "lower": [[], ["1"]],
+                    "upper": [["1", "2", "3"], ["1", "2", "3", "7"], ["1", "2"]],
+                },
+                "$.upper[1]: upper level 1 gains {'7'} over level 0",
+            ),
+            (
+                {"lower": [["1"], []], "upper": [["1", "2"]]},
+                "$.lower[1]: lower level 1 loses {'1'} of level 0",
+            ),
+            (
+                {"lower": [["1"], ["1", 9]], "upper": [["1", "2"], ["1"]]},
+                "$.lower[1]: certified points {'9'} escape the last upper "
+                "level $.upper[1]",
+            ),
+            # the two sides meet at level 0, before the lower side shrinks
+            (
+                {"lower": [["1"], []], "upper": [["1"], ["1", "2"]]},
+                "$.lower[1]: lower level 1 loses {'1'} of level 0",
+            ),
+        ],
+    )
+    def test_a_fixture_that_contradicts_itself_exits_2_naming_the_level(
+        self, tmp_path, fixture, message
+    ):
+        path = write_json(tmp_path, "bad.json", fixture)
+        code, out, err = invoke_cli(["descent-sim", "--input", path])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestReport:
     def test_full_pipeline(self):

@@ -26,6 +26,7 @@ from nadescent.errors import (
     PrecisionExhaustedError,
     PrimeMismatchError,
 )
+from nadescent.iterated_words import _validate_word
 from nadescent.padic_series import DEFAULT_PRECISION
 
 from .oracles import brute_shuffle, factorial_valuation, padic_from_fraction
@@ -88,6 +89,26 @@ class TestShuffle:
             shuffle((0,), (1,))
         with pytest.raises(DomainError):
             shuffle((True,), (1,))
+
+    @pytest.mark.parametrize(
+        "word, size, message",
+        [
+            ((1, 0), None, "word letter must be an integer >= 1, got 0"),
+            ((-2,), 3, "word letter must be an integer >= 1, got -2"),
+            ((1, True), None, "word letter must be an integer >= 1, got True"),
+            ((2, "1"), 3, "word letter must be an integer >= 1, got '1'"),
+            ((1, 4, 2), 3, "letter 4 exceeds the 3 available forms"),
+            ((4, 0), 3, "letter 4 exceeds the 3 available forms"),
+        ],
+    )
+    def test_a_refused_word_names_its_first_bad_letter(self, word, size, message):
+        with pytest.raises(DomainError) as exc:
+            _validate_word(word, size)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("word", [(), (1,), (3, 1, 2), [2, 2]])
+    def test_a_good_word_comes_back_as_a_tuple(self, word):
+        assert _validate_word(word, 3) == tuple(word)
 
 
 class TestFormSystem:

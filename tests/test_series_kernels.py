@@ -12,6 +12,7 @@ the series operations and for the scalar ones.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 from operator import add
 
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nadescent.errors import DomainError, PrimeMismatchError
-from nadescent.padic_series import PadicNumber, PadicSeries, weighted_sum
+from nadescent.padic_series import PadicNumber, PadicSeries, _min_plus, weighted_sum
 
 from . import oracles
 
@@ -154,6 +155,28 @@ def weighted_sum_cases(draw, wide=True):
         c, y = draw(balls(p))
         terms.append((c, f, y, exact))
     return p, n, terms
+
+
+@st.composite
+def min_plus_cases(draw):
+    """Two operands of one length n (up to 300, so that n >= 256 takes
+    two-byte slots) whose finite entries lie in a window of ``width``
+    values from ``low``, of either sign, with a share of +inf that reaches
+    all-inf operands.  Windows of a few values take the packed multiply
+    where its blocks allow, windows wider than n the direct loop."""
+    n = draw(st.one_of(st.integers(1, 40), st.integers(250, 300)))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def operand():
+        low = draw(st.integers(-60, 60))
+        width = draw(st.sampled_from([1, 2, 3, 5, 8, n + 1, 3 * n, 10**6]))
+        gone = draw(st.sampled_from([0.0, 0.0, 0.2, 0.3, 0.5, 0.6, 0.8, 1.0]))
+        return [
+            math.inf if rng.random() < gone else low + rng.randrange(width)
+            for _ in range(n)
+        ]
+
+    return operand(), operand()
 
 
 def valuation(y: Fraction, p: int) -> float:
@@ -384,6 +407,41 @@ class TestKernelsMatchObjectLoops:
             )
         )
         assert list(map(triples, got)) == list(map(triples, want))
+
+
+class TestMinPlus:
+    """The product's precisions come from ``_min_plus``: one long multiply
+    of one-hot slots, or the direct loop when the valuations spread wide."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=min_plus_cases())
+    def test_matches_the_double_loop(self, case):
+        xs, ys = case
+        assert _min_plus(xs, ys) == oracles.min_plus_by_pairs(xs, ys)
+
+    @pytest.mark.parametrize("n", [1, 2, 20, 255, 256, 300])
+    @pytest.mark.parametrize("width", [1, 4, 8, 1000])
+    def test_both_branches_at_every_slot_width(self, n, width):
+        xs = [(7 * i) % width - 3 if i % 5 else math.inf for i in range(n)]
+        ys = [-((3 * i) % width) for i in range(n)]
+        assert _min_plus(xs, ys) == oracles.min_plus_by_pairs(xs, ys)
+        assert _min_plus(ys, xs) == oracles.min_plus_by_pairs(ys, xs)
+
+    @pytest.mark.parametrize("ys", [[0] * 300, [0] * 299 + [1]], ids=["S=1", "S=2"])
+    def test_a_slot_that_counts_past_255_pairs_does_not_carry(self, ys):
+        # slot 0 of block 255 counts 256 pairs, so it needs a second byte
+        assert _min_plus([0] * 300, ys) == [0] * 300
+
+    def test_a_wide_span_builds_no_span_sized_buffer(self):
+        xs, ys = [0, 10**7, 0], [10**7, 0, math.inf]
+        tracemalloc.start()
+        try:
+            got = _min_plus(xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == [10**7, 0, 10**7]
+        assert peak < 1 << 20
 
 
 class TestSoundness:
