@@ -51,26 +51,14 @@ def _pair_mul(x: Tuple[int, int], y: Tuple[int, int], p: int) -> Tuple[int, int]
 
 
 def _pair_pow(base: Tuple[int, int], exp: int, p: int) -> Tuple[int, int]:
-    out = (1, 0)
-    for _ in range(exp):
-        out = _pair_mul(out, base, p)
+    out = (1, 0)  # square-and-multiply
+    while exp:
+        if exp & 1:
+            out = _pair_mul(out, base, p)
+        exp >>= 1
+        if exp:
+            base = _pair_mul(base, base, p)
     return out
-
-
-def _cmp_with_sqrt(c: int, a: int, b: int, p: int) -> int:
-    """Sign of c - (a + b sqrt(p)), exactly."""
-    t = c - a
-    if b == 0:
-        return (t > 0) - (t < 0)
-    if b > 0:
-        if t <= 0:
-            return -1
-        d = t * t - b * b * p
-        return (d > 0) - (d < 0)
-    if t >= 0:
-        return 1
-    d = b * b * p - t * t
-    return (d > 0) - (d < 0)
 
 
 @dataclass(frozen=True)
@@ -85,12 +73,10 @@ class JacobianLocalData:
         check_prime(self.p, "p")
         check_int(self.g, "abelian variety dimension", 1)
         check_int(self.count_fp, "residue point count", 1)
-        lo = _pair_pow((self.p + 1, -2), self.g, self.p)
-        hi = _pair_pow((self.p + 1, 2), self.g, self.p)
-        if (
-            _cmp_with_sqrt(self.count_fp, lo[0], lo[1], self.p) < 0
-            or _cmp_with_sqrt(self.count_fp, hi[0], hi[1], self.p) > 0
-        ):
+        # (sqrt(p) +- 1)^(2g) = a +- b sqrt(p), so the interval is
+        # |count - a| <= b sqrt(p)
+        a, b = _pair_pow((self.p + 1, 2), self.g, self.p)
+        if (self.count_fp - a) ** 2 > b * b * self.p:
             warnings.warn(
                 WeilBoundWarning(
                     f"count {self.count_fp} outside the Weil interval "

@@ -43,7 +43,9 @@ Zero walk
 Zeros on Z_p are isolated by walking residue classes, each shifted to the
 origin and counted by Strassmann's theorem.  A class on which p^-v f (v the
 least valuation at or below the Weierstrass bound) reduces mod p to a
-nonzero constant holds no zero and is dropped without a shift.
+nonzero constant holds no zero and is dropped without a shift.  A class
+counting one root is certified by Newton's test, v(f(c)) > 2 v(f'(c)) at its
+center c, with f(c) and f'(c) read from the class series it was counted on.
 
 Weierstrass bound
 -----------------
@@ -396,7 +398,7 @@ class PadicSeries:
     ``weierstrass_bound`` is the analytic guarantee described in the module
     docstring; it survives recentering (z -> c + z), the p-rescale
     (z -> p z) and scalar multiples, and is dropped by operations (sums,
-    products, derivatives) whose zeros it says nothing about.
+    products, antiderivatives) whose zeros it says nothing about.
 
     The private slot ``_floors`` holds the valuation floor of every
     coefficient and the relative precision they share (None when they
@@ -595,13 +597,6 @@ class PadicSeries:
         return _series(p, base, ints, abss, self.weierstrass_bound)
 
     # -- calculus ----------------------------------------------------------
-
-    def derivative(self) -> "PadicSeries":
-        p, base, n = self.p, self.base, len(self.ints)
-        # a constant's derivative is the exact zero
-        abss = list(map(add, self.abss[1:], _legendre(p, n - 1)[1:])) or [_INF]
-        ints = [x * i for i, x in enumerate(self.ints[1:], 1)] or [0]
-        return _series(p, base, _reduced(p, base, ints, abss), abss)
 
     def antiderivative(self) -> "PadicSeries":
         """Termwise antiderivative with zero constant term.
@@ -869,16 +864,26 @@ class IsolationFailure:
     residual_count: Optional[int]
 
 
-def _newton_certified(f: PadicSeries, f_deriv: PadicSeries, center: int) -> bool:
-    # v(f(c)) > 2 v(f'(c)) pins a unique simple root next to c; combined with
-    # a Strassmann count of 1 this certifies the class.
-    b = f_deriv.evaluate(center)
-    if b.unit is None:
-        return False
-    a = f.evaluate(center)
-    if a.is_exact_zero():
-        return True
-    return a.val > 2 * b.val
+def _newton_certified(g: PadicSeries, m: int, depth: int) -> bool:
+    """Newton's test v(f(c)) > 2 v(f'(c)), which with a Strassmann count of
+    1 pins a simple root next to the center c of a class of this depth,
+    read from its series g(z) = f(c + p^(depth-1) z) and vertex (1, m).
+
+    g_0 = f(c) and g_1 = p^(depth-1) f'(c) carry the precisions that
+    evaluating at c gives.  A shift gives coefficient j the least abs(c_k) +
+    v_p(C(k, j)) over k (a zero digit keeps every index), and a rescale adds
+    j; a path k -> ... -> j through the chain adds the valuation of its
+    binomials' product plus its index at each rescale.  The direct path
+    keeps k up to the first nonzero digit, adding k v_p(c), then drops to
+    j: it adds nothing more for j = 0, and v_p(k) plus 1 per later rescale
+    for j = 1.  No path adds less, since C(a, b) C(b, 1) = C(a, 1)
+    C(a - 1, b - 1) makes a path's binomials a multiple of k.  So
+    v(f'(c)) = v(g_1) - (depth - 1) = m - depth, and v(f(c)) is base + v_p
+    of g_0's integer, or g_0's precision when that integer is 0.
+    """
+    x = g.ints[0]
+    v0 = g.base + v_p(x, g.p) if x else g.abss[0]
+    return v0 > 2 * (m - depth)
 
 
 def _live_residues(g: PadicSeries) -> Sequence[int]:
@@ -919,26 +924,23 @@ def _live_residues(g: PadicSeries) -> Sequence[int]:
 def _isolate_classes(
     f: PadicSeries, chart_id: str, depth_cap: int
 ) -> tuple[list[ZeroDisk], list[IsolationFailure]]:
-    p = f.p
-    f_deriv = f.derivative()
     disks: list[ZeroDisk] = []
     failures: list[IsolationFailure] = []
-    # pending classes (parent digits, parent center, parent series, residue),
-    # pushed last residue first so that they pop depth-first in digit order
-    stack = [((), 0, f, c) for c in reversed(_live_residues(f))]
+    # pending classes (parent digits, parent series, residue), pushed last
+    # residue first so that they pop depth-first in digit order
+    stack = [((), f, c) for c in reversed(_live_residues(f))]
     while stack:
-        digits, center, series, c = stack.pop()
+        digits, series, c = stack.pop()
         shifted = series.shift_center(c)
         child = digits + (c,)
-        child_center = center + c * p ** len(digits)
         depth = len(child)
         try:
-            count = root_count_positive_valuation(shifted)
+            count, m = newton_polygon(shifted)
         except RootCountPrecisionError:
             count = None  # a refused count fails the class at any depth
         if count == 0:
             continue
-        if count == 1 and _newton_certified(f, f_deriv, child_center):
+        if count == 1 and _newton_certified(shifted, m, depth):
             disks.append(ZeroDisk(chart_id, child, depth, 1, False))
             continue
         if count is None or depth >= depth_cap:
@@ -950,10 +952,7 @@ def _isolate_classes(
             failures.append(IsolationFailure(chart_id, child, depth, reason, count))
             continue
         refined = shifted.rescale_p()
-        stack.extend(
-            (child, child_center, refined, d)
-            for d in reversed(_live_residues(refined))
-        )
+        stack.extend((child, refined, d) for d in reversed(_live_residues(refined)))
     return disks, failures
 
 
@@ -967,8 +966,9 @@ def isolate_zeros(
     shift (see :func:`_live_residues`), and so is a class whose Strassmann
     count is 0; a class counting exactly 1 is emitted as soon as a Newton
     contraction certifies the (necessarily simple, necessarily
-    Q_p-rational) root; anything still ambiguous at ``depth_cap`` raises,
-    with certified disks and per-class diagnostics attached to the error.
+    Q_p-rational) root, with f(c) and f'(c) read from the class series
+    (:func:`_newton_certified`); anything still ambiguous at ``depth_cap``
+    raises, with certified disks and per-class diagnostics attached.
     """
     check_int(depth_cap, "depth_cap", 1)
     disks, failures = _isolate_classes(f, chart_id, depth_cap)

@@ -12,7 +12,9 @@ mathematics or brute force than the library under test:
 * Shuffle tables come from brute-force interleaving enumeration.
 * p-adic root counts come from an exhaustive search modulo p^6 with a
   Hensel-liftability filter (vectorized with numpy).
-* Elliptic-curve group orders come from counting affine solutions.
+* Elliptic-curve group orders come from counting affine solutions, and
+  the endpoints of the Weil interval, which the library powers by
+  squaring, from one multiplication per unit of the genus.
 * Two-sided-search outcomes come from directly tabulating both level
   sequences and walking the alternation schedule by hand.
 * Primality is checked against published lists of the composites that
@@ -24,16 +26,16 @@ mathematics or brute force than the library under test:
   sorted keys and a two-space indent, applied to the document made
   canonical by two separate walks (a bit-length refusal pass, then a
   conversion pass), and ``canonicalize`` against that document.
-* Every series operation (sum, scalar and integer multiples, derivative,
-  antiderivative, p-rescale, Taylor shift, evaluation at an integer,
-  product, weighted sum), which runs on the stored coefficient integers,
-  is checked against a loop that chains one ``PadicNumber`` operation per
-  term, so that every intermediate result is rounded by the scalar
-  arithmetic.  A series read from integers, which never builds a
-  ``PadicNumber`` per coefficient, is checked against the stored form of
-  one built from ``PadicNumber.from_int``.  The
-  rationals 1/(i + 1) of the antiderivative enter that loop through a
-  ``pow`` inverse written here, not through the library.
+* Every series operation (sum, scalar and integer multiples,
+  antiderivative, p-rescale, Taylor shift and its linear coefficient,
+  evaluation at an integer, product, weighted sum), which runs on the
+  stored coefficient integers, is checked against a loop that chains one
+  ``PadicNumber`` operation per term, so that every intermediate result is
+  rounded by the scalar arithmetic.  A series read from integers, which
+  never builds a ``PadicNumber`` per coefficient, is checked against the
+  stored form of one built from ``PadicNumber.from_int``.  The rationals
+  1/(i + 1) of the antiderivative enter that loop through a ``pow``
+  inverse written here, not through the library.
 * The min-plus convolution that gives a product its precisions, which
   packs valuations into one long multiply, is checked against a double
   loop over every pair of entries.
@@ -48,7 +50,9 @@ mathematics or brute force than the library under test:
   valuation in scope and beyond.
 * The residue-class walk of zero isolation is checked against a plain
   recursion, one call per depth level, in place of the explicit stack,
-  that shifts every residue class.
+  that shifts every residue class.  The walk reads Newton's test off the
+  class series it counted; the recursion evaluates f and f' at the full
+  center of the class.
 * A class the walk skips without a shift (its residue filter works mod p)
   is checked to be rootless by ultrametric dominance of the constant term
   of the class series, rebuilt one ``PadicNumber`` operation at a time.
@@ -302,6 +306,26 @@ def elliptic_group_orders(p: int, a: int, b: int) -> Tuple[int, int]:
     over_p = elliptic_affine_count(p, a, b) + 1
     over_p2 = elliptic_affine_count(p * p, a, b) + p
     return over_p, over_p2
+
+
+def weil_endpoint_by_products(p: int, g: int, sign: int) -> Tuple[int, int]:
+    """(a, b) with (sqrt(p) + sign)^(2g) = a + b sqrt(p), by g successive
+    multiplications by p + 1 + 2 sign sqrt(p)."""
+    a, b = 1, 0
+    for _ in range(g):
+        a, b = a * (p + 1) + b * 2 * sign * p, a * 2 * sign + b * (p + 1)
+    return a, b
+
+
+def in_weil_interval_by_endpoints(p: int, g: int, count: int) -> bool:
+    """True when (sqrt(p) - 1)^(2g) < count < (sqrt(p) + 1)^(2g), each
+    endpoint x + y sqrt(p) from :func:`weil_endpoint_by_products` compared
+    with count on its own, by sign and then by squares.  For g >= 1 neither
+    y is 0 and sqrt(p) is irrational, so no count is an endpoint."""
+    (x0, y0), (x1, y1) = (weil_endpoint_by_products(p, g, s) for s in (-1, 1))
+    above = count >= x0 or (count - x0) ** 2 < y0 * y0 * p
+    below = count <= x1 or (count - x1) ** 2 < y1 * y1 * p
+    return above and below
 
 
 # ---------------------------------------------------------------------------
@@ -644,16 +668,13 @@ def completions(f, extra: int = 3):
 # ---------------------------------------------------------------------------
 
 
-def isolate_classes_by_recursion(f, chart_id: str, depth_cap: int):
-    """(disks, failures) of the residue-class walk, one recursive call per
-    depth level: each class c is shifted to the origin and counted, then
-    dropped, emitted, refused at the cap, or rescaled and walked."""
-    p = f.p
-    f_deriv = f.derivative()
-    disks: List[ZeroDisk] = []
-    failures: List[IsolationFailure] = []
+def newton_certified_by_evaluation(f):
+    """The test v(f(c)) > 2 v(f'(c)) at an integer center c, f(c) and f'(c)
+    evaluated at c with f' from :func:`derivative_by_objects`; False when
+    f'(c) is not known to be nonzero."""
+    f_deriv = PadicSeries(f.p, derivative_by_objects(f))
 
-    def newton_certified(center: int) -> bool:
+    def certified(center: int) -> bool:
         b = f_deriv.evaluate(center)
         if b.unit is None:
             return False
@@ -661,6 +682,20 @@ def isolate_classes_by_recursion(f, chart_id: str, depth_cap: int):
         if a.is_exact_zero():
             return True
         return a.val > 2 * b.val
+
+    return certified
+
+
+def isolate_classes_by_recursion(f, chart_id: str, depth_cap: int):
+    """(disks, failures) of the residue-class walk, one recursive call per
+    depth level: each class c is shifted to the origin and counted, then
+    dropped, emitted, refused at the cap, or rescaled and walked.  A class
+    counting 1 is certified by evaluating f and f' at its full center, f'
+    built one ``PadicNumber`` operation per term, not from the class series."""
+    p = f.p
+    disks: List[ZeroDisk] = []
+    failures: List[IsolationFailure] = []
+    newton_certified = newton_certified_by_evaluation(f)
 
     def walk(digits: Tuple[int, ...], center: int, series) -> None:
         for c in range(p):

@@ -15,9 +15,17 @@ from nadescent import (
     jacobian_order_mod,
 )
 from nadescent.arith import factorize, is_prime
-from nadescent.descent_arith import WeilBoundWarning, count_from_frobenius_poly
+from nadescent.descent_arith import (
+    WeilBoundWarning,
+    _pair_pow,
+    count_from_frobenius_poly,
+)
 
-from .oracles import elliptic_group_orders
+from .oracles import (
+    elliptic_group_orders,
+    in_weil_interval_by_endpoints,
+    weil_endpoint_by_products,
+)
 
 # Two primes beyond the trial-division range, so factoring their product
 # genuinely needs the budgeted stage.
@@ -63,6 +71,26 @@ class TestJacobianLocalData:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             JacobianLocalData(p=5, g=1, count_fp=count)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 101])
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_weil_endpoints_match_the_g_fold_product(self, p, sign):
+        for g in range(65):
+            want = weil_endpoint_by_products(p, g, sign)
+            assert _pair_pow((p + 1, 2 * sign), g, p) == want
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 101])
+    def test_weil_warning_matches_both_endpoints(self, p):
+        # the check compares |count - a| with b sqrt(p) once; the oracle
+        # compares count with each endpoint
+        for g in range(1, 7):
+            for end in ((p**0.5 - 1) ** (2 * g), (p**0.5 + 1) ** (2 * g)):
+                for count in range(max(1, int(end) - 3), int(end) + 4):
+                    with warnings.catch_warnings(record=True) as seen:
+                        warnings.simplefilter("always")
+                        JacobianLocalData(p=p, g=g, count_fp=count)
+                    inside = in_weil_interval_by_endpoints(p, g, count)
+                    assert inside == (not seen)
 
     def test_weil_warning_is_a_user_warning(self):
         assert issubclass(WeilBoundWarning, UserWarning)

@@ -6,7 +6,7 @@ import gc
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nadescent import (
@@ -32,6 +32,7 @@ from nadescent.padic_series import (
     SeparationReport,
     SeparationStatus,
     _isolate_classes,
+    _newton_certified,
     newton_polygon,
 )
 
@@ -40,6 +41,7 @@ from .oracles import (
     class_has_no_root_by_objects,
     completions,
     isolate_classes_by_recursion,
+    newton_certified_by_evaluation,
     root_count_by_hull,
     series_parts_by_numbers,
     strassmann_vertex_by_valuations,
@@ -83,7 +85,6 @@ class TestSeriesArithmetic:
         f, g = S([1, 1]), S([1, 2])
         assert (f + g).weierstrass_bound is None
         assert (f * g).weierstrass_bound is None
-        assert f.derivative().weierstrass_bound is None
 
     def test_bound_survives_recentering_and_rescale(self):
         f = S([0, -5, 1])
@@ -137,12 +138,14 @@ class TestSeriesArithmetic:
         assert g.coeff(0).is_exact_zero() and g.coeff(1).abs_prec() == 3
 
     def test_derivative_antiderivative(self):
+        # f'(c) is the linear coefficient of the Taylor shift to c
         f = S([2, 6, 12])  # 2 + 6z + 12z^2
-        assert f.derivative().agrees_with(S([6, 24]))
-        back = f.derivative().antiderivative()
-        assert back.coeff(0).is_exact_zero()
-        assert back.coeff(1).agrees_with(f.coeff(1))
-        assert back.coeff(2).agrees_with(f.coeff(2))
+        anti = f.antiderivative()
+        assert anti.coeff(0).is_exact_zero()
+        for c in (-3, 0, 1, 5, 7):
+            want = PadicNumber.from_int(5, 6 + 24 * c)
+            assert f.shift_center(c).coeff(1).agrees_with(want)
+            assert anti.shift_center(c).coeff(1).agrees_with(f.evaluate(c))
 
     def test_antiderivative_divides_each_coefficient(self):
         # coefficient i is divided by i + 1: 10 / 2, 10 / 5, O(5^3) / 5
@@ -660,11 +663,11 @@ class TestSeparationModulus:
 
 
 @st.composite
-def walk_cases(draw):
-    """A series with planted roots, some coefficients replaced by O(p^k) or
-    the exact zero, a Weierstrass bound its coefficients do not refute, and
-    a depth cap."""
-    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+def planted_series(draw, primes):
+    """A series over one of ``primes`` with planted roots, some coefficients
+    replaced by O(p^k) or the exact zero, under a Weierstrass bound its
+    coefficients do not refute."""
+    p = draw(st.sampled_from(primes))
     roots = draw(
         st.lists(
             st.one_of(
@@ -691,10 +694,28 @@ def walk_cases(draw):
             coeffs.append(PadicNumber.from_int(p, n, prec))
     bound = draw(st.integers(0, len(coeffs) - 1))
     try:
-        f = PadicSeries(p, coeffs, bound)
+        return PadicSeries(p, coeffs, bound)
     except DomainError:
         assume(False)
-    return f, draw(st.integers(1, 8))
+
+
+@st.composite
+def walk_cases(draw):
+    """A series of :func:`planted_series` and a depth cap."""
+    return draw(planted_series([2, 3, 5, 7, 11])), draw(st.integers(1, 8))
+
+
+@st.composite
+def class_cases(draw):
+    """A series of :func:`planted_series` over p in {2, 3, 5, 7} and a depth
+    from 1 to 5."""
+    return draw(planted_series([2, 3, 5, 7])), draw(st.integers(1, 5))
+
+
+# the golden charts whose Newton test fails at a class before it certifies
+P2_CHART = S([-168, 100, -18, 1], p=2, wb=3)  # (z - 6)((z - 6)^2 - 8)
+P5_CHART = S([-100, 70, -15, 1], p=5, wb=3)
+P3_CHART = S([-18, 24, -9, 1], p=3, wb=3)
 
 
 def is_sublist(short, long) -> bool:
@@ -706,6 +727,10 @@ def is_sublist(short, long) -> bool:
 class TestResidueWalk:
     @settings(max_examples=200, deadline=None)
     @given(case=walk_cases())
+    @example(case=(P2_CHART, 2))
+    @example(case=(P2_CHART, 3))
+    @example(case=(P5_CHART, 2))
+    @example(case=(P3_CHART, 2))
     def test_stack_walk_matches_the_recursion(self, case):
         # The walk skips the classes its residue filter proves rootless, so
         # it may drop refusals the recursion makes; it must keep every disk
@@ -721,6 +746,44 @@ class TestResidueWalk:
                 None,
             )
             assert class_has_no_root_by_objects(f, x.center_digits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=class_cases())
+    @example(case=(P2_CHART, 3))
+    @example(case=(P5_CHART, 2))
+    @example(case=(P3_CHART, 2))
+    def test_the_class_series_certifies_as_evaluation_does(self, case):
+        # at every class down to the depth that counts one root, Newton's
+        # test read from the class series is the test by evaluation at the
+        # class center; a class counting no root has none below it
+        f, depth_cap = case
+        by_evaluation = newton_certified_by_evaluation(f)
+        pending = [((), f)]
+        while pending:
+            digits, series = pending.pop()
+            for c in range(f.p):
+                shifted = series.shift_center(c)
+                child = digits + (c,)
+                try:
+                    count, m = newton_polygon(shifted)
+                except RootCountPrecisionError:
+                    continue
+                if count == 1:
+                    center = sum(d * f.p**j for j, d in enumerate(child))
+                    got = _newton_certified(shifted, m, len(child))
+                    assert got == by_evaluation(center)
+                if count and len(child) < depth_cap:
+                    pending.append((child, shifted.rescale_p()))
+
+    def test_a_failed_newton_test_certifies_one_digit_deeper(self):
+        # the class 2 + 4Z_2 of (z - 6)((z - 6)^2 - 8) counts one root, but
+        # v(f(2)) = 5 is not above 2 v(f'(2)) = 6; in the class 6 + 8Z_2,
+        # f(6) = 0 is known to O(2^23) and v(f'(6)) = 3
+        g2 = P2_CHART.shift_center(0).rescale_p().shift_center(1)
+        g3 = g2.rescale_p().shift_center(1)
+        assert newton_polygon(g2) == (1, 5) and newton_polygon(g3) == (1, 6)
+        assert not _newton_certified(g2, 5, 2)
+        assert _newton_certified(g3, 6, 3)
 
     def test_separated_isolation_leaves_no_cycles(self):
         enabled = gc.isenabled()

@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nadescent.errors import DomainError, PrimeMismatchError
@@ -321,10 +321,14 @@ class TestKernelsMatchObjectLoops:
         assert_matches(lambda: f.scale_int(k), oracles.scale_int_by_objects(f, k))
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), p=PRIMES)
-    def test_derivative(self, data, p):
-        f, _ = data.draw(series_balls(p))
-        assert_matches(f.derivative, oracles.derivative_by_objects(f))
+    @given(case=shift_cases())
+    def test_derivative(self, case):
+        # f'(c) is the linear coefficient of the Taylor shift to c
+        _, f, _, c = case
+        assume(f.trunc_degree >= 1)
+        got = without_number_arithmetic(lambda: f.shift_center(c)).coeff(1)
+        f_deriv = PadicSeries(f.p, oracles.derivative_by_objects(f))
+        assert triples([got]) == triples([oracles.evaluate_by_objects(f_deriv, c)])
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), p=PRIMES)
@@ -479,11 +483,12 @@ class TestSoundness:
         assert all(map(contains, f.antiderivative().coeffs, want))
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), p=PRIMES)
-    def test_derivative(self, data, p):
-        f, exact = data.draw(series_balls(p))
-        want = [i * a for i, a in enumerate(exact)][1:] or [Fraction(0)]
-        assert all(map(contains, f.derivative().coeffs, want))
+    @given(case=shift_cases())
+    def test_derivative(self, case):
+        _, f, exact, c = case
+        assume(f.trunc_degree >= 1)
+        want = sum(i * a * c ** (i - 1) for i, a in enumerate(exact) if i)
+        assert contains(f.shift_center(c).coeff(1), want)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), p=PRIMES)
