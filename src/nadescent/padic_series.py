@@ -38,6 +38,30 @@ of the product is the least sum), unless the valuations spread so far apart
 that the packed integers would outgrow the direct loop over i + j = d,
 which then runs instead.
 
+No operation raises a relative precision above its inputs', so every
+series carries a ceiling on the rel of its coefficients that are not exact
+zeros:
+
+* built from its coefficients: the largest such rel, or 0 when there is
+  none;
+* a truncation, a nonzero integer multiple, an antiderivative, a shift or
+  a rescale: the operand's ceiling; a multiple by 0: 0;
+* a sum: the larger of the two ceilings; a product: the smaller;
+* a weighted sum: the largest over its terms c f of min(ceiling of f,
+  prec c), an ``O(p^k)`` scalar counting as 0.
+
+The rules are sound because every coefficient is a sum of terms.  Its
+stored valuation is at least the least valuation among the unit terms, and
+its absolute precision is at most that term's, so its rel is at most that
+term's rel: min(rel a_i, rel b_j) for a product term, min(rel f_i, prec c)
+for c f_i, and rel c_m for an exact integer multiple of c_m.  Two
+consumers read the ceiling in place of valuations.  A product whose left
+operand has one shared rel r knows its term a_i b_j to v(a_i) +
+min(r + v(b_j), abs(b_j)); when b's ceiling is at most r, that minimum is
+abs(b_j).  A weighted-sum term c f knows coefficient i to v(c) +
+min(v(f_i) + prec c, abs(f_i)); when f's ceiling is at most prec c, that
+minimum is abs(f_i).  Neither then takes a valuation of b or f.
+
 Zero walk
 ---------
 Zeros on Z_p are isolated by walking residue classes, each shifted to the
@@ -276,13 +300,13 @@ def _valuations(p: int, base: int, ints, abss) -> list:
     ]
 
 
-def _relative_precision(vals, abss):
+def _relative_precisions(vals, abss) -> tuple:
     """The relative precision abs - v shared by every coefficient that is not
-    an exact zero (0 for ``O(p^k)``), or None when they differ."""
+    an exact zero (0 for ``O(p^k)``), or None when they differ; and the
+    largest of them, or 0 when there is none."""
     rels = {a - v for v, a in zip(vals, abss) if a < _INF}
-    if len(rels) > 1:
-        return None
-    return rels.pop() if rels else 0
+    top = max(rels, default=0)
+    return (None if len(rels) > 1 else top), top
 
 
 #: The widest block, in bytes, that :func:`_min_plus` packs.
@@ -405,10 +429,15 @@ class PadicSeries:
     differ), computed when the series is built from its coefficients and
     otherwise on first use: a series read by several products, scalar
     multiples or sums takes each valuation once.  :meth:`vals` returns a
-    copy.
+    copy.  The private slot ``_ceiling``, always set, bounds from above the
+    relative precision of every coefficient that is not an exact zero (see
+    the module docstring); a product or weighted sum that it shows needs
+    no valuations of this series reads no ``_floors``.
     """
 
-    __slots__ = ("p", "base", "ints", "abss", "weierstrass_bound", "_floors")
+    __slots__ = (
+        "p", "base", "ints", "abss", "weierstrass_bound", "_floors", "_ceiling"
+    )
 
     def __init__(
         self,
@@ -420,7 +449,8 @@ class PadicSeries:
         """The series of ``coeffs``: a PadicNumber as it is, an int x = u p^v
         (u a unit) as the unit form (u mod p^prec) p^v that
         :meth:`PadicNumber.from_int` gives, stored without building one.
-        The valuations taken on the way are kept in ``_floors``."""
+        The valuations taken on the way are kept in ``_floors``, and the
+        largest relative precision in ``_ceiling``."""
         check_int(p, "p", 2)
         vals, units, abss, mod = [], [], [], None
         for x in coeffs:
@@ -447,16 +477,17 @@ class PadicSeries:
             raise DomainError("a series needs at least its constant coefficient")
         base = min((v for v, u in zip(vals, units) if u), default=0)
         ints = [u * p ** (v - base) if u else 0 for v, u in zip(vals, units)]
-        floors = (vals, _relative_precision(vals, abss))
-        self._store(p, base, ints, abss, floors, weierstrass_bound)
+        r, ceiling = _relative_precisions(vals, abss)
+        self._store(p, base, ints, abss, (vals, r), ceiling, weierstrass_bound)
 
-    def _store(self, p, base, ints, abss, floors, bound) -> None:
+    def _store(self, p, base, ints, abss, floors, ceiling, bound) -> None:
         n = len(ints)
         if bound is not None and not 0 <= bound <= n - 1:
             raise DomainError(f"weierstrass bound {bound} outside 0..{n - 1}")
         if bound is not None and bound + 1 < n:
             _check_bound(p, base, ints, abss, bound)
-        for name, value in zip(self.__slots__, (p, base, ints, abss, bound, floors)):
+        values = (p, base, ints, abss, bound, floors, ceiling)
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def _floor_data(self) -> tuple:
@@ -465,7 +496,7 @@ class PadicSeries:
         data = self._floors
         if data is None:
             vals = _valuations(self.p, self.base, self.ints, self.abss)
-            data = (vals, _relative_precision(vals, self.abss))
+            data = (vals, _relative_precisions(vals, self.abss)[0])
             object.__setattr__(self, "_floors", data)
         return data
 
@@ -523,10 +554,11 @@ class PadicSeries:
         wb = self.weierstrass_bound
         wb = wb if wb is not None and wb <= degree else None
         n = degree + 1
-        return _series(self.p, self.base, self.ints[:n], self.abss[:n], wb)
+        ints, abss = self.ints[:n], self.abss[:n]
+        return _series(self.p, self.base, ints, abss, self._ceiling, wb)
 
     def with_weierstrass_bound(self, bound: Optional[int]) -> "PadicSeries":
-        return _series(self.p, self.base, self.ints, self.abss, bound)
+        return _series(self.p, self.base, self.ints, self.abss, self._ceiling, bound)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -538,7 +570,8 @@ class PadicSeries:
         sa, sb = p ** (self.base - base), p ** (other.base - base)
         abss = list(map(min, self.abss, other.abss))
         ints = [x * sa + y * sb for x, y in zip(self.ints, other.ints)]
-        return _series(p, base, _reduced(p, base, ints, abss), abss)
+        ceiling = max(self._ceiling, other._ceiling)
+        return _series(p, base, _reduced(p, base, ints, abss), abss, ceiling)
 
     def __mul__(self, other: "PadicSeries") -> "PadicSeries":
         """The product, truncated at the shorter operand.
@@ -548,9 +581,10 @@ class PadicSeries:
         coefficient of the left operand that is not an exact zero has the
         same rel r, as in any series read from integers, that term is
         v(a_i) + c_j with c_j = min(r + v(b_j), abs(b_j)), and one min-plus
-        pass finds the least; otherwise two passes take the least of
-        abs(a_i) + v(b_j) and of v(a_i) + abs(b_j).  Each pass is
-        :func:`_min_plus`: one long multiply of the valuations packed as
+        pass finds the least; c_j is abs(b_j), and no valuation of ``other``
+        is taken, when its ceiling is at most r.  Otherwise two passes take
+        the least of abs(a_i) + v(b_j) and of v(a_i) + abs(b_j).  Each pass
+        is :func:`_min_plus`: one long multiply of the valuations packed as
         one-hot slots, or the direct loop over each antidiagonal when the
         valuations spread wider than its packed blocks allow.  The
         coefficient integers are multiplied by Kronecker substitution.
@@ -568,17 +602,22 @@ class PadicSeries:
         a_ints, a_abss = self.ints[:n], self.abss[:n]
         b_ints, b_abss = other.ints[:n], other.abss[:n]
         a_vals, r = self._floor_data()
-        a_vals, b_vals = a_vals[:n], other._floor_data()[0][:n]
-        if r is not None:
+        a_vals = a_vals[:n]
+        if r is not None and other._ceiling <= r:
+            abss = _min_plus(a_vals, b_abss)
+        elif r is not None:
+            b_vals = other._floor_data()[0][:n]
             c = list(map(min, map(add, repeat(r), b_vals), b_abss))
             abss = _min_plus(a_vals, c)
         else:
+            b_vals = other._floor_data()[0][:n]
             abss = list(
                 map(min, _min_plus(a_abss, b_vals), _min_plus(a_vals, b_abss))
             )
         base = self.base + other.base
         ints = _kronecker_product(a_ints, b_ints)
-        return _series(p, base, _reduced(p, base, ints, abss), abss)
+        ceiling = min(self._ceiling, other._ceiling)
+        return _series(p, base, _reduced(p, base, ints, abss), abss, ceiling)
 
     def scale(self, c: PadicNumber) -> "PadicSeries":
         """c f: the one-term :func:`weighted_sum`, whose docstring gives the
@@ -589,12 +628,12 @@ class PadicSeries:
         """k f for an exact integer k; no precision is spent."""
         p, n = self.p, len(self.ints)
         if k == 0:
-            return _series(p, self.base, [0] * n, [_INF] * n)
+            return _series(p, self.base, [0] * n, [_INF] * n, 0)
         t = v_p(k, p)
         base = self.base + t
         abss = [a + t for a in self.abss]
         ints = _reduced(p, base, [x * (k // p**t) for x in self.ints], abss)
-        return _series(p, base, ints, abss, self.weierstrass_bound)
+        return _series(p, base, ints, abss, self._ceiling, self.weierstrass_bound)
 
     # -- calculus ----------------------------------------------------------
 
@@ -612,7 +651,8 @@ class PadicSeries:
         ts, inverses, shifts, top = _antiderivative_table(p, len(abss), max(e, 0))
         quotients = _reduced(p, base, list(map(mul, self.ints, inverses)), abss)
         ints = [0, *map(mul, quotients, shifts)]
-        return _series(p, base - top, ints, [_INF, *map(sub, abss, ts)])
+        abss = [_INF, *map(sub, abss, ts)]
+        return _series(p, base - top, ints, abss, self._ceiling)
 
     # -- substitution ------------------------------------------------------
 
@@ -644,14 +684,14 @@ class PadicSeries:
             )
         ]
         ints = _reduced(p, base, ints, abss)
-        return _series(p, base, ints, abss, self.weierstrass_bound)
+        return _series(p, base, ints, abss, self._ceiling, self.weierstrass_bound)
 
     def rescale_p(self) -> "PadicSeries":
         """The series of z -> f(p z): coefficient i gains valuation i."""
         p = self.p
         ints = [x * p**i for i, x in enumerate(self.ints)]
         abss = [a + i for i, a in enumerate(self.abss)]
-        return _series(p, self.base, ints, abss, self.weierstrass_bound)
+        return _series(p, self.base, ints, abss, self._ceiling, self.weierstrass_bound)
 
     def evaluate(self, x: int) -> PadicNumber:
         """f(x) at an integer x, known to the least abs(c_i) + i v_p(x) over
@@ -693,10 +733,13 @@ class PadicSeries:
         )
 
 
-def _series(p: int, base: int, ints: list, abss: list, bound=None) -> PadicSeries:
-    """The series stored so; ``ints`` reduced, lists kept and never changed."""
+def _series(
+    p: int, base: int, ints: list, abss: list, ceiling: int, bound=None
+) -> PadicSeries:
+    """The series stored so, with ``ceiling`` on its relative precisions;
+    ``ints`` reduced, lists kept and never changed."""
     out = object.__new__(PadicSeries)
-    out._store(p, base, ints, abss, None, bound)
+    out._store(p, base, ints, abss, None, ceiling, bound)
     return out
 
 
@@ -743,13 +786,14 @@ def weighted_sum(
     In c f, coefficient i is known to min(abs(f_i), v(f_i) + prec(c)) +
     v(c), and the base is f's base plus v(c): an ``O(p^k)`` scalar counts
     as unit 0 with prec 0 and shifts the base by its k, an exact zero gives
-    n exact zeros at f's base.  The sum aligns every term to the least of
-    those bases and knows coefficient i to the least over the terms, as
-    folding the terms with ``+`` does.  The one reduction at the end leaves
-    what the fold's reductions leave, since each of them is modulo a power
-    of p that the final modulus divides.  A single term keeps f's
-    weierstrass bound when c is a unit; a sum drops it.  With no terms the
-    sum is n exact zeros.
+    n exact zeros at f's base.  When f's ceiling is at most prec(c), the
+    minimum is abs(f_i) and f's valuations are not taken.  The sum aligns
+    every term to the least of those bases and knows coefficient i to the
+    least over the terms, as folding the terms with ``+`` does.  The one
+    reduction at the end leaves what the fold's reductions leave, since
+    each of them is modulo a power of p that the final modulus divides.  A
+    single term keeps f's weierstrass bound when c is a unit; a sum drops
+    it.  With no terms the sum is n exact zeros.
     """
     pairs = []
     for c, f in terms:
@@ -761,21 +805,23 @@ def weighted_sum(
         pairs.append((c, f))
     # an exact-zero scalar keeps f's base, as scale_int(0) does
     base = min((f.base + (c.val or 0) for c, f in pairs), default=0)
-    ints, abss = [0] * n, [_INF] * n
+    ints, abss, ceiling = [0] * n, [_INF] * n, 0
     for c, f in pairs:
         if c.is_exact_zero():
             continue
         val, prec = c.val, c.prec
-        vals = f._floor_data()[0]
-        known = map(min, f.abss, map(add, vals, repeat(prec)))
+        known = f.abss
+        if f._ceiling > prec:
+            known = map(min, known, map(add, f._floor_data()[0], repeat(prec)))
         abss = list(map(min, abss, map(add, known, repeat(val))))
         if c.unit is not None:
+            ceiling = max(ceiling, min(f._ceiling, prec))
             k = c.unit * p ** (f.base + val - base)
             ints = [y + x * k for y, x in zip(ints, f.ints)]
     bound = None
     if len(pairs) == 1 and pairs[0][0].unit:
         bound = pairs[0][1].weierstrass_bound
-    return _series(p, base, _reduced(p, base, ints, abss), abss, bound)
+    return _series(p, base, _reduced(p, base, ints, abss), abss, ceiling, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -429,11 +429,10 @@ class TestEvaluateObservable:
         assert got.coeffs == want.coeffs
         assert got.coeff(3) == PadicNumber.zero_to(5, -3)
 
-    def test_one_valuation_pass_per_form_and_integral(self, monkeypatch):
-        system = int_forms(5, [[1, 2, 3, 4, 5, 6, 7], [3, 0, 1, 0, 2, 0, 1]])
-        words = [(1,), (2, 1), (1, 2, 1), (2, 2, 1), (1, 1, 2), (2,)]
-        obs = Observable.from_terms(5, [(w, i + 2) for i, w in enumerate(words)])
-        suffixes = {w[k:] for w in words for k in range(len(w) + 1)}
+    @staticmethod
+    def count_valuations(monkeypatch) -> list:
+        """The lengths of the series whose valuation floors are taken from
+        now on."""
         calls = []
         real = padic_series._valuations
 
@@ -442,6 +441,28 @@ class TestEvaluateObservable:
             return real(p, base, ints, abss)
 
         monkeypatch.setattr(padic_series, "_valuations", counting_valuations)
+        return calls
+
+    def test_one_valuation_pass_per_form_and_integral(self, monkeypatch):
+        system = int_forms(5, [[1, 2, 3, 4, 5, 6, 7], [3, 0, 1, 0, 2, 0, 1]])
+        words = [(1,), (2, 1), (1, 2, 1), (2, 2, 1), (1, 1, 2), (2,)]
+        obs = Observable.from_terms(5, [(w, i + 2) for i, w in enumerate(words)])
+        calls = self.count_valuations(monkeypatch)
         evaluate_observable(obs, system)
-        # the truncated forms and the integrals a_w, the empty word's too
-        assert len(calls) <= system.size + len(suffixes)
+        # only the truncated forms: with one precision everywhere, no product
+        # or sum raises a relative precision, so no integral's floors are read
+        assert calls == [system.trunc_degree] * system.size
+
+    def test_forms_of_two_precisions_read_the_floors_they_need(self, monkeypatch):
+        units = [3, 7, 1, 12, 4, 2, 9]
+        sixes = [PadicNumber(5, i % 3, u, 6) for i, u in enumerate(units)]
+        system = FormSystem(
+            (PadicSeries(5, sixes), PadicSeries(5, [3, 0, 1, 0, 2, 0, 1], None, 20))
+        )
+        terms = [((1, 2), PadicNumber(5, 1, 3, 4)), ((2,), 7)]
+        obs = Observable.from_terms(5, terms)
+        calls = self.count_valuations(monkeypatch)
+        evaluate_observable(obs, system)
+        # the two forms; a_(2,), whose 20 digits exceed form 1's 6 in
+        # f_1 a_(2,); a_(1, 2), whose 6 digits exceed its coefficient's 4
+        assert len(calls) == system.size + 2

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nadescent import padic_series
 from nadescent.errors import DomainError, PrimeMismatchError
 from nadescent.padic_series import PadicNumber, PadicSeries, _min_plus, weighted_sum
 
@@ -522,3 +523,103 @@ class TestSoundness:
             "*": (a * b, x * y),
         }[op]
         assert contains(got, want)
+
+
+@st.composite
+def start_series(draw, p):
+    """A series built from PadicNumbers: mixed precisions with ``O(p^k)``
+    and exact zeros, or unit forms and exact zeros at one relative
+    precision, the kind of left operand whose product may skip the right
+    operand's valuations."""
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        pairs = draw(st.lists(balls(p), min_size=n, max_size=n))
+        return PadicSeries(p, [c for c, _ in pairs])
+    prec = draw(st.integers(1, 8))
+    units = st.integers(1, p**prec - 1).filter(lambda u: u % p)
+    coeffs = [
+        PadicNumber(p, draw(st.integers(-3, 5)), draw(units), prec)
+        if draw(st.integers(0, 3))
+        else PadicNumber.zero(p)
+        for _ in range(n)
+    ]
+    return PadicSeries(p, coeffs)
+
+
+def assert_ceiling_holds(f: PadicSeries) -> None:
+    """The stored ceiling bounds abs - v of every coefficient that is not
+    an exact zero."""
+    rels = [a - v for v, a in zip(f.vals(), f.abss) if a < math.inf]
+    assert f._ceiling >= max(rels, default=0)
+
+
+class TestRelativePrecisionCeiling:
+    """Every series carries an upper bound on the relative precision of its
+    coefficients; a product or weighted sum that trusts it reads no
+    valuations of its right operand or terms.  Random chains of every
+    operation keep the bound sound, and the products and sums that read it
+    match the object loops."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), p=PRIMES)
+    def test_chains_keep_the_ceiling_sound(self, data, p):
+        pool = [data.draw(start_series(p)) for _ in range(3)]
+        for f in pool:
+            assert_ceiling_holds(f)
+        for _ in range(data.draw(st.integers(1, 10))):
+            pick = st.integers(0, len(pool) - 1).map(pool.__getitem__)
+            f = data.draw(pick)
+            op = data.draw(
+                st.sampled_from(
+                    ["new", "+", "*", "*", "anti", "shift", "rescale", "trunc",
+                     "scale_int", "bound", "sum", "sum"]
+                )
+            )
+            if op == "new":
+                out = data.draw(start_series(p))
+            elif op == "+":
+                out = f + data.draw(pick)
+            elif op == "*":
+                g = data.draw(pick)
+                want = oracles.series_mul_by_objects(f, g)
+                assert_matches(lambda: f * g, want)
+                out = f * g
+            elif op == "anti":
+                out = f.antiderivative()
+            elif op == "shift":
+                centers = st.one_of(st.integers(-20, 20), st.sampled_from([p, -p * p]))
+                out = f.shift_center(data.draw(centers))
+            elif op == "rescale":
+                out = f.rescale_p()
+            elif op == "trunc":
+                out = f.truncate(data.draw(st.integers(0, f.trunc_degree)))
+            elif op == "scale_int":
+                k = data.draw(st.sampled_from([0, 1, -3, p, 2 * p**2]))
+                out = f.scale_int(k)
+            elif op == "bound":
+                out = f.with_weierstrass_bound(None)
+            else:
+                series = data.draw(st.lists(pick, min_size=1, max_size=3))
+                n = min(len(g.ints) for g in series)
+                pairs = [(data.draw(balls(p))[0], g.truncate(n - 1)) for g in series]
+                want = oracles.weighted_sum_by_objects(p, n, pairs)
+                assert_matches(lambda: weighted_sum(p, n, pairs), want)
+                out = weighted_sum(p, n, pairs)
+            assert_ceiling_holds(out)
+            pool.append(out)
+
+    def test_a_uniform_product_skips_the_right_valuations(self, monkeypatch):
+        f = PadicSeries.from_int_coeffs(5, [1, 5, 0, 7], 6)
+        g = (f * PadicSeries.from_int_coeffs(5, [3, 0, 25, 2], 9)).antiderivative()
+        low = PadicSeries.from_int_coeffs(5, [2, 10, 4, 1], 4)
+        assert (g._ceiling, low._ceiling) == (6, 4)
+        calls = []
+        real = padic_series._valuations
+        monkeypatch.setattr(
+            padic_series, "_valuations", lambda *a: calls.append(a) or real(*a)
+        )
+        for left, taken in ((f, 0), (low, 1)):
+            want = oracles.series_mul_by_objects(left, g)
+            assert triples((left * g).coeffs) == triples(want)
+            # r = 6 reads g's ceiling of 6 alone; r = 4 takes g's floors
+            assert len(calls) == taken
