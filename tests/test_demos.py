@@ -1,4 +1,11 @@
-"""Each demo script runs to completion and prints its worked example."""
+"""Each demo script runs to completion and prints its worked example, byte
+for byte as recorded in ``tests/data/demos/<demo>.txt``.
+
+The demos are the only callers outside the tests of series ``+``,
+``scale_int`` and ``agrees_with``, of ``observable_product`` and of the
+pair form of ``separation_modulus``; the recordings hold what they print
+across refactors of those paths.
+"""
 
 from __future__ import annotations
 
@@ -10,9 +17,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
-DEMOS = sorted(
-    glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "demos", "*.py"))
-)
+HERE = os.path.dirname(__file__)
+DEMOS = sorted(glob.glob(os.path.join(HERE, os.pardir, "demos", "*.py")))
+RECORDED = os.path.join(HERE, "data", "demos")
 
 
 def test_all_five_demos_are_found():
@@ -24,4 +31,6 @@ def test_demo_runs(path):
     out = io.StringIO()
     with redirect_stdout(out):
         runpy.run_path(path, run_name="__main__")
-    assert out.getvalue().strip()
+    name = os.path.splitext(os.path.basename(path))[0]
+    with open(os.path.join(RECORDED, f"{name}.txt"), encoding="utf-8", newline="") as fh:
+        assert out.getvalue() == fh.read()
