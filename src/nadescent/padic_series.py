@@ -26,21 +26,49 @@ Arithmetic never invents digits: each output is known to the least
 precision among the terms that feed it (the capped-absolute model of
 Caruso, Roe & Vaccon, 2014); cancellation degrades a sum to ``O(p^k)``
 rather than guessing its valuation.  Every consumer of a root count either
-receives a certified answer or an explicit precision error.
+receives a certified answer or an explicit precision error.  Each rule
+below has its argument here; the functions that implement it point back.
 
-In relative form, with rel = abs - v (0 for ``O(p^k)``): a product term
-a_i b_j with neither factor an exact zero is known to
-abs = v(a_i) + v(b_j) + min(rel a_i, rel b_j), and product coefficient d to
-the least such abs over i + j = d.  That least term is found for every d at
-once by one long multiply (a tropical Kronecker substitution: each
-valuation becomes a one-hot slot, and the first nonzero slot of each block
-of the product is the least sum), unless the valuations spread so far apart
-that the packed integers would outgrow the direct loop over i + j = d,
-which then runs instead.
+Write rel = abs - v for a coefficient's relative precision (0 for
+``O(p^k)``), and let f's ceiling be an upper bound on the rel of its
+coefficients that are not exact zeros (*Ceilings* below).
 
-No operation raises a relative precision above its inputs', so every
-series carries a ceiling on the rel of its coefficients that are not exact
-zeros:
+*Sums.*  In c f, for a scalar c, coefficient i is known to v(c) +
+min(abs(f_i), v(f_i) + prec c); a sum of such terms, to the least over
+them.  Every linear combination is this one rule, in :func:`weighted_sum`:
+``f + g`` is 1 f + 1 g cut to the shorter operand, ``scale_int(k)`` is
+k f, and ``agrees_with`` asks whether f + (-1) g stores any digit.  A unit
+scalar c known to at least f's ceiling spends nothing: rel f_i <= prec c
+makes the minimum abs(f_i), so no valuation of f is taken, and a scalar c'
+that agrees with c to prec c digits changes c f_i only by a multiple of
+p^(v(c) + prec c + v(f_i)), which the known modulus p^(v(c) + abs(f_i))
+divides.  So an exact integer k = u p^t, carried as u p^t to f's ceiling
+(at least 1 digit), gives exactly k f.
+
+*Products.*  A term a_i b_j with neither factor an exact zero is known to
+v(a_i) + v(b_j) + min(rel a_i, rel b_j), that is to the lesser of
+abs(a_i) + v(b_j) and v(a_i) + abs(b_j); product coefficient d, to the
+least such value over i + j = d.  When b's ceiling is at most the least
+rel r of a's coefficients that are not exact zeros, rel b_j <= r <=
+rel a_i, so the term is known to v(a_i) + abs(b_j) and no valuation of b is
+taken.  The least over each i + j = d of x_i + y_j comes for every d at
+once from one long multiply (a tropical Kronecker substitution).  With lx
+and ly the least finite entries, entry i of each operand becomes a 1 in
+slot x_i - lx of block i, a block holding the S = (max xs - lx) +
+(max ys - ly) + 1 slots that a sum can reach, each w = ceil(bitlen(n) / 8)
+bytes wide; a +inf entry leaves its block zero.  Block d of the product
+counts the pairs of each sum i + j = d, at most n per slot, so no slot
+carries into the next, and its first nonzero slot gives the least sum (an
+all-zero block gives +inf).
+
+*Substitution.*  Coefficient j of f(c + z) is the sum over m >= j of
+C(m, j) c^(m-j) c_m, known to the least abs(c_m) + v_p(C(m, j)) +
+(m - j) v_p(c) over the live c_m.  Row 0, with C(m, 0) = 1, is f(c) known
+to the least abs(c_m) + m v_p(c): evaluation is the shift's constant
+coefficient.
+
+*Ceilings.*  No operation raises a relative precision above its inputs',
+so every series carries a ceiling:
 
 * built from its coefficients: the largest such rel, or 0 when there is
   none;
@@ -54,13 +82,7 @@ The rules are sound because every coefficient is a sum of terms.  Its
 stored valuation is at least the least valuation among the unit terms, and
 its absolute precision is at most that term's, so its rel is at most that
 term's rel: min(rel a_i, rel b_j) for a product term, min(rel f_i, prec c)
-for c f_i, and rel c_m for an exact integer multiple of c_m.  Two
-consumers read the ceiling in place of valuations.  A product whose left
-operand has one shared rel r knows its term a_i b_j to v(a_i) +
-min(r + v(b_j), abs(b_j)); when b's ceiling is at most r, that minimum is
-abs(b_j).  A weighted-sum term c f knows coefficient i to v(c) +
-min(v(f_i) + prec c, abs(f_i)); when f's ceiling is at most prec c, that
-minimum is abs(f_i).  Neither then takes a valuation of b or f.
+for c f_i, and rel c_m for an exact integer multiple of c_m.
 
 Zero walk
 ---------
@@ -301,12 +323,11 @@ def _valuations(p: int, base: int, ints, abss) -> list:
 
 
 def _relative_precisions(vals, abss) -> tuple:
-    """The relative precision abs - v shared by every coefficient that is not
-    an exact zero (0 for ``O(p^k)``), or None when they differ; and the
-    largest of them, or 0 when there is none."""
-    rels = {a - v for v, a in zip(vals, abss) if a < _INF}
-    top = max(rels, default=0)
-    return (None if len(rels) > 1 else top), top
+    """The least and the largest relative precision abs - v over the
+    coefficients that are not exact zeros (0 for ``O(p^k)``); +inf and 0
+    when there is none."""
+    rels = [a - v for v, a in zip(vals, abss) if a < _INF]
+    return min(rels, default=_INF), max(rels, default=0)
 
 
 #: The widest block, in bytes, that :func:`_min_plus` packs.
@@ -315,16 +336,9 @@ _MAX_BLOCK_BYTES = 16
 
 def _min_plus(xs, ys) -> list:
     """Entry d is the least xs[i] + ys[d - i], for d below the common length
-    n, +inf when every such pair holds a +inf.
-
-    The least term is found by one long multiply (a tropical Kronecker
-    substitution).  With lx and ly the least finite entries, entry i of each
-    operand becomes a 1 in slot x_i - lx of block i, a block holding the
-    S = (max xs - lx) + (max ys - ly) + 1 slots that a sum can reach, each
-    w = ceil(bitlen(n) / 8) bytes wide; a +inf entry leaves its block zero.
-    Block d of the product counts the pairs of each sum i + j = d, at most n
-    per slot, so no slot carries into the next, and its first nonzero slot
-    gives the least sum (an all-zero block gives +inf).
+    n, +inf when every such pair holds a +inf: by one long multiply of
+    one-hot slots, the tropical Kronecker substitution whose argument is in
+    the module docstring (*Products*).
 
     The multiply costs more than linearly in its n S w bytes, the direct
     loop, which takes the least of each antidiagonal, about n^2 / 2
@@ -425,14 +439,15 @@ class PadicSeries:
     products, antiderivatives) whose zeros it says nothing about.
 
     The private slot ``_floors`` holds the valuation floor of every
-    coefficient and the relative precision they share (None when they
-    differ), computed when the series is built from its coefficients and
-    otherwise on first use: a series read by several products, scalar
-    multiples or sums takes each valuation once.  :meth:`vals` returns a
-    copy.  The private slot ``_ceiling``, always set, bounds from above the
-    relative precision of every coefficient that is not an exact zero (see
-    the module docstring); a product or weighted sum that it shows needs
-    no valuations of this series reads no ``_floors``.
+    coefficient and the least relative precision among those that are not
+    exact zeros (+inf when there is none), computed when the series is
+    built from its coefficients and otherwise on first use: a series read
+    by several products or weighted sums takes each valuation once.
+    :meth:`vals` returns a copy.  The private slot ``_ceiling``, always
+    set, bounds from above the relative precision of every coefficient that
+    is not an exact zero (see the module docstring); a product or weighted
+    sum that it shows needs no valuations of this series reads no
+    ``_floors``.
     """
 
     __slots__ = (
@@ -449,8 +464,8 @@ class PadicSeries:
         """The series of ``coeffs``: a PadicNumber as it is, an int x = u p^v
         (u a unit) as the unit form (u mod p^prec) p^v that
         :meth:`PadicNumber.from_int` gives, stored without building one.
-        The valuations taken on the way are kept in ``_floors``, and the
-        largest relative precision in ``_ceiling``."""
+        The valuations taken on the way are kept in ``_floors``, with the
+        least relative precision, and the largest in ``_ceiling``."""
         check_int(p, "p", 2)
         vals, units, abss, mod = [], [], [], None
         for x in coeffs:
@@ -477,8 +492,8 @@ class PadicSeries:
             raise DomainError("a series needs at least its constant coefficient")
         base = min((v for v, u in zip(vals, units) if u), default=0)
         ints = [u * p ** (v - base) if u else 0 for v, u in zip(vals, units)]
-        r, ceiling = _relative_precisions(vals, abss)
-        self._store(p, base, ints, abss, (vals, r), ceiling, weierstrass_bound)
+        least, ceiling = _relative_precisions(vals, abss)
+        self._store(p, base, ints, abss, (vals, least), ceiling, weierstrass_bound)
 
     def _store(self, p, base, ints, abss, floors, ceiling, bound) -> None:
         n = len(ints)
@@ -491,8 +506,8 @@ class PadicSeries:
             object.__setattr__(self, name, value)
 
     def _floor_data(self) -> tuple:
-        """(valuation floors, shared relative precision or None), kept in
-        the ``_floors`` slot once computed; neither list is ever changed."""
+        """(valuation floors, least relative precision), kept in the
+        ``_floors`` slot once computed; the list is never changed."""
         data = self._floors
         if data is None:
             vals = _valuations(self.p, self.base, self.ints, self.abss)
@@ -563,36 +578,27 @@ class PadicSeries:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "PadicSeries") -> "PadicSeries":
+        """f + g, cut to the shorter operand: the two-term
+        :func:`weighted_sum` of the operands times 1, which spends nothing
+        (see the module docstring, *Sums*)."""
         if not isinstance(other, PadicSeries):
             return NotImplemented
-        _require_same_prime(self, other)
-        p, base = self.p, min(self.base, other.base)
-        sa, sb = p ** (self.base - base), p ** (other.base - base)
-        abss = list(map(min, self.abss, other.abss))
-        ints = [x * sa + y * sb for x, y in zip(self.ints, other.ints)]
-        ceiling = max(self._ceiling, other._ceiling)
-        return _series(p, base, _reduced(p, base, ints, abss), abss, ceiling)
+        n = min(len(self.ints), len(other.ints))
+        terms = [_exact_multiple(f.truncate(n - 1), 1) for f in (self, other)]
+        return weighted_sum(self.p, n, terms)
 
     def __mul__(self, other: "PadicSeries") -> "PadicSeries":
-        """The product, truncated at the shorter operand.
+        """The product, truncated at the shorter operand, by the rule of the
+        module docstring (*Products*).
 
-        Coefficient d is known to the least v(a_i) + v(b_j) + min(rel a_i,
-        rel b_j) over i + j = d (see the module docstring).  When every
-        coefficient of the left operand that is not an exact zero has the
-        same rel r, as in any series read from integers, that term is
-        v(a_i) + c_j with c_j = min(r + v(b_j), abs(b_j)), and one min-plus
-        pass finds the least; c_j is abs(b_j), and no valuation of ``other``
-        is taken, when its ceiling is at most r.  Otherwise two passes take
-        the least of abs(a_i) + v(b_j) and of v(a_i) + abs(b_j).  Each pass
-        is :func:`_min_plus`: one long multiply of the valuations packed as
-        one-hot slots, or the direct loop over each antidiagonal when the
-        valuations spread wider than its packed blocks allow.  The
-        coefficient integers are multiplied by Kronecker substitution.
-
-        r is read over the whole left operand, even when the product keeps
-        only a prefix of it: a prefix of a uniform series is uniform with
-        the same r or all exact zeros (for which r does not matter), and
-        the two passes give the one pass's result whenever both apply.
+        When ``other``'s ceiling is at most the least rel r of this series,
+        one pass takes the least of v(a_i) + abs(b_j), and no valuation of
+        ``other`` is taken; otherwise two passes take the least of
+        abs(a_i) + v(b_j) and of v(a_i) + abs(b_j).  Each pass is
+        :func:`_min_plus`.  r is read over the whole left operand, even
+        when the product keeps only a prefix of it, and is at most the
+        least rel of any prefix.  The coefficient integers are multiplied by
+        Kronecker substitution.
         """
         if not isinstance(other, PadicSeries):
             return NotImplemented
@@ -601,14 +607,10 @@ class PadicSeries:
         n = min(len(self.ints), len(other.ints))
         a_ints, a_abss = self.ints[:n], self.abss[:n]
         b_ints, b_abss = other.ints[:n], other.abss[:n]
-        a_vals, r = self._floor_data()
+        a_vals, least = self._floor_data()
         a_vals = a_vals[:n]
-        if r is not None and other._ceiling <= r:
+        if other._ceiling <= least:
             abss = _min_plus(a_vals, b_abss)
-        elif r is not None:
-            b_vals = other._floor_data()[0][:n]
-            c = list(map(min, map(add, repeat(r), b_vals), b_abss))
-            abss = _min_plus(a_vals, c)
         else:
             b_vals = other._floor_data()[0][:n]
             abss = list(
@@ -620,20 +622,15 @@ class PadicSeries:
         return _series(p, base, _reduced(p, base, ints, abss), abss, ceiling)
 
     def scale(self, c: PadicNumber) -> "PadicSeries":
-        """c f: the one-term :func:`weighted_sum`, whose docstring gives the
-        precision rule."""
+        """c f: the one-term :func:`weighted_sum` (see the module docstring,
+        *Sums*)."""
         return weighted_sum(self.p, len(self.ints), [(c, self)])
 
     def scale_int(self, k: int) -> "PadicSeries":
-        """k f for an exact integer k; no precision is spent."""
-        p, n = self.p, len(self.ints)
-        if k == 0:
-            return _series(p, self.base, [0] * n, [_INF] * n, 0)
-        t = v_p(k, p)
-        base = self.base + t
-        abss = [a + t for a in self.abss]
-        ints = _reduced(p, base, [x * (k // p**t) for x in self.ints], abss)
-        return _series(p, base, ints, abss, self._ceiling, self.weierstrass_bound)
+        """k f for an exact integer k: the one-term :func:`weighted_sum` with
+        k known to f's ceiling, which spends nothing (see the module
+        docstring, *Sums*)."""
+        return weighted_sum(self.p, len(self.ints), [_exact_multiple(self, k)])
 
     # -- calculus ----------------------------------------------------------
 
@@ -657,15 +654,15 @@ class PadicSeries:
     # -- substitution ------------------------------------------------------
 
     def shift_center(self, c: int) -> "PadicSeries":
-        """The series of z -> f(c + z), by exact binomial recombination.
+        """The series of z -> f(c + z), by exact binomial recombination,
+        known as the module docstring says (*Substitution*); the sums come
+        from Horner's scheme on the coefficient integers.
 
-        Coefficient j is the sum over m >= j of C(m, j) c^(m-j) c_m, known
-        to the least abs(c_m) + v_p(C(m, j)) + (m - j) v_p(c) over the live
-        c_m; the sums come from Horner's scheme on the coefficient integers.
-        With spent_m = abs(c_m) + m v_p(c), that least value is spent_j -
-        j v_p(c) whenever spent_j is at most every later spent_m, since
-        v_p(C(j, j)) = 0 and no v_p(C(m, j)) is negative; one suffix-minimum
-        pass finds those rows, and only the others scan their binomials.
+        With spent_m = abs(c_m) + m v_p(c), the precision of row j is
+        spent_j - j v_p(c) whenever spent_j is at most every later spent_m,
+        since v_p(C(j, j)) = 0 and no v_p(C(m, j)) is negative; one
+        suffix-minimum pass finds those rows, and only the others scan
+        their binomials.
         """
         if c == 0:
             return self
@@ -694,32 +691,18 @@ class PadicSeries:
         return _series(p, self.base, ints, abss, self._ceiling, self.weierstrass_bound)
 
     def evaluate(self, x: int) -> PadicNumber:
-        """f(x) at an integer x, known to the least abs(c_i) + i v_p(x) over
-        the live c_i (f(0) is c_0 itself)."""
+        """f(x) at an integer x: the constant coefficient of the shift to x
+        (see the module docstring, *Substitution*)."""
         if not isinstance(x, int):
             raise DomainError(f"evaluation point must be an integer, got {x!r}")
-        if x == 0:
-            return self.coeff(0)
-        t = v_p(x, self.p)
-        abs_prec = min(a + i * t for i, a in enumerate(self.abss))
-        total = 0
-        for a in reversed(self.ints):
-            total = total * x + a
-        return _normalize(self.p, self.base, total, abs_prec)
+        return self.shift_center(x).coeff(0)
 
     # -- comparisons -------------------------------------------------------
 
     def agrees_with(self, other: "PadicSeries") -> bool:
         """True when every shared coefficient coincides to the joint tracked
-        precision."""
-        _require_same_prime(self, other)
-        p, base = self.p, min(self.base, other.base)
-        sa, sb = p ** (self.base - base), p ** (other.base - base)
-        for x, a, y, b in zip(self.ints, self.abss, other.ints, other.abss):
-            k = min(a, b)
-            if base < k < _INF and (x * sa - y * sb) % p ** (k - base):
-                return False
-        return True
+        precision: f - g, cut to the shorter operand, stores no digit."""
+        return not any((self + other.scale_int(-1)).ints)
 
     def indistinguishable_from_zero(self) -> bool:
         return not any(self.ints)
@@ -741,6 +724,12 @@ def _series(
     out = object.__new__(PadicSeries)
     out._store(p, base, ints, abss, None, ceiling, bound)
     return out
+
+
+def _exact_multiple(f: PadicSeries, k: int) -> tuple:
+    """The term (k, f) of a :func:`weighted_sum`, the integer k carried to
+    f's ceiling, at least 1 digit: k f then spends nothing."""
+    return PadicNumber.from_int(f.p, k, max(f._ceiling, 1)), f
 
 
 def _check_bound(p: int, base: int, ints, abss, bound: int) -> None:
@@ -781,19 +770,19 @@ def weighted_sum(
     p: int, n: int, terms: Iterable[tuple[PadicNumber, PadicSeries]]
 ) -> PadicSeries:
     """The sum of c f over the pairs (c, f) of ``terms``, each f of n
-    coefficients, in one pass; :meth:`PadicSeries.scale` is the one-term case.
+    coefficients, in one pass, by the rule of the module docstring
+    (*Sums*): the one place where series are aligned, added and reduced.
+    ``+``, :meth:`PadicSeries.scale`, ``scale_int`` and ``agrees_with``
+    are its views.
 
-    In c f, coefficient i is known to min(abs(f_i), v(f_i) + prec(c)) +
-    v(c), and the base is f's base plus v(c): an ``O(p^k)`` scalar counts
-    as unit 0 with prec 0 and shifts the base by its k, an exact zero gives
-    n exact zeros at f's base.  When f's ceiling is at most prec(c), the
-    minimum is abs(f_i) and f's valuations are not taken.  The sum aligns
-    every term to the least of those bases and knows coefficient i to the
-    least over the terms, as folding the terms with ``+`` does.  The one
-    reduction at the end leaves what the fold's reductions leave, since
-    each of them is modulo a power of p that the final modulus divides.  A
-    single term keeps f's weierstrass bound when c is a unit; a sum drops
-    it.  With no terms the sum is n exact zeros.
+    The base of c f is f's base plus v(c): an ``O(p^k)`` scalar counts as
+    unit 0 with prec 0 and shifts the base by its k, an exact zero gives n
+    exact zeros at f's base.  f's valuations are taken only when its
+    ceiling exceeds prec(c).  The sum aligns every term to the least of
+    those bases.  The one reduction at the end leaves what reducing each
+    partial sum would, since each of those is modulo a power of p that the
+    final modulus divides.  A single term keeps f's weierstrass bound when
+    c is a unit; a sum drops it.  With no terms the sum is n exact zeros.
     """
     pairs = []
     for c, f in terms:

@@ -52,7 +52,7 @@ mathematics or brute force than the library under test:
   recursion, one call per depth level, in place of the explicit stack,
   that shifts every residue class.  The walk reads Newton's test off the
   class series it counted; the recursion evaluates f and f' at the full
-  center of the class.
+  center of the class, one ``PadicNumber`` operation per term.
 * A class the walk skips without a shift (its residue filter works mod p)
   is checked to be rootless by ultrametric dominance of the constant term
   of the class series, rebuilt one ``PadicNumber`` operation at a time.
@@ -485,6 +485,12 @@ def evaluate_by_objects(f, x: int):
     return acc
 
 
+def agrees_with_by_objects(f, g) -> bool:
+    """True when every shared coefficient agrees: one
+    ``PadicNumber.agrees_with`` per pair."""
+    return all(a.agrees_with(b) for a, b in zip(f.coeffs, g.coeffs))
+
+
 def weighted_sum_by_objects(p: int, n: int, terms):
     """Coefficients of the sum of c f over the pairs (c, f): one * and one +
     per coefficient of each term."""
@@ -670,15 +676,17 @@ def completions(f, extra: int = 3):
 
 def newton_certified_by_evaluation(f):
     """The test v(f(c)) > 2 v(f'(c)) at an integer center c, f(c) and f'(c)
-    evaluated at c with f' from :func:`derivative_by_objects`; False when
-    f'(c) is not known to be nonzero."""
+    evaluated at c by :func:`evaluate_by_objects`, with f' from
+    :func:`derivative_by_objects`; False when f'(c) is not known to be
+    nonzero.  ``PadicSeries.evaluate`` reads the Taylor shift, the code the
+    walk is checked against here, so it is not used."""
     f_deriv = PadicSeries(f.p, derivative_by_objects(f))
 
     def certified(center: int) -> bool:
-        b = f_deriv.evaluate(center)
+        b = evaluate_by_objects(f_deriv, center)
         if b.unit is None:
             return False
-        a = f.evaluate(center)
+        a = evaluate_by_objects(f, center)
         if a.is_exact_zero():
             return True
         return a.val > 2 * b.val

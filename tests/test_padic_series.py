@@ -81,6 +81,18 @@ class TestSeriesArithmetic:
         with pytest.raises(PrimeMismatchError):
             PadicSeries(5, (PadicNumber.from_int(7, 1),))
 
+    def test_prime_mismatch_names_both_primes(self):
+        f, g = S([1, 2], p=5), S([1, 2, 3], p=7)
+        for op, message in (
+            (lambda: f + g, "operands live over p=5 and p=7"),
+            (lambda: g + f, "operands live over p=7 and p=5"),
+            (lambda: f.agrees_with(g), "operands live over p=5 and p=7"),
+            (lambda: g.agrees_with(f), "operands live over p=7 and p=5"),
+        ):
+            with pytest.raises(PrimeMismatchError) as caught:
+                op()
+            assert str(caught.value) == message
+
     def test_operations_drop_the_degree_bound(self):
         f, g = S([1, 1]), S([1, 2])
         assert (f + g).weierstrass_bound is None

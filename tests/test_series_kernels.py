@@ -56,8 +56,9 @@ def series_balls(draw, p, max_len=8):
 @st.composite
 def uniform_series(draw, p, length=None):
     """A PadicSeries of up to 48 wide coefficients, a quarter of them exact
-    zeros, whose unit forms share one relative precision (1..60): as the
-    left operand, one a product passes over once.  In "unknown" mode the
+    zeros, whose unit forms share one relative precision (1..60), the
+    least rel that a product's one pass compares with the right operand's
+    ceiling.  In "unknown" mode the
     rest are ``O(p^k)`` (relative precision 0, uniform too); in "broken"
     mode one coefficient in eight is, among the unit forms, which makes the
     series non-uniform again."""
@@ -80,8 +81,9 @@ def uniform_series(draw, p, length=None):
 @st.composite
 def uniform_product_cases(draw):
     """A uniform operand on one side of ``*`` and, on the other, a uniform
-    or a mixed-precision one, of independent lengths.  A uniform left
-    operand takes the one-pass path; a mixed one, the two passes."""
+    or a mixed-precision one, of independent lengths.  A left operand whose
+    least rel is at least the right one's ceiling takes the one-pass path;
+    any other, the two passes."""
     p = draw(st.sampled_from([2, 3, 5, 7, 11]))
     f = draw(uniform_series(p))
     mixed = series_balls(p, max_len=48).map(lambda x: x[0])
@@ -156,6 +158,46 @@ def weighted_sum_cases(draw, wide=True):
         c, y = draw(balls(p))
         terms.append((c, f, y, exact))
     return p, n, terms
+
+
+@st.composite
+def agreement_cases(draw):
+    """Two series over one prime, of independent lengths, bases and
+    precisions: the second drawn apart, or made from the first coefficient
+    by coefficient, each kept, carried to fewer digits, widened to
+    ``O(p^k)`` or to more digits, changed in a known digit, or drawn
+    apart, so that agreement and disagreement both occur."""
+    p = draw(PRIMES)
+    f, _ = draw(series_balls(p))
+    if draw(st.integers(0, 3)) == 0:
+        g, _ = draw(series_balls(p))
+        return f, g
+    coeffs = []
+    for c in f.coeffs:
+        kind = draw(st.sampled_from(["same", "fewer", "wider", "digit", "apart"]))
+        if kind == "apart":
+            c = draw(balls(p))[0]
+        elif c.unit is not None and kind == "fewer":
+            prec = draw(st.integers(1, c.prec))
+            c = PadicNumber(p, c.val, c.unit, prec)
+        elif c.unit is not None and kind == "wider":
+            c = PadicNumber(p, c.val, c.unit + p**c.prec, c.prec + draw(st.integers(1, 3)))
+        elif c.unit is not None and kind == "digit" and c.prec > 1:
+            j = draw(st.integers(1, c.prec - 1))
+            c = PadicNumber(p, c.val, c.unit + p**j, c.prec)
+        elif c.unit is not None and kind == "digit":
+            c = PadicNumber(p, c.val + 1, 1, 1)
+        elif c.unit is None and kind in ("fewer", "wider"):
+            top = 8 if c.is_exact_zero() else c.val
+            c = PadicNumber.zero_to(p, top - draw(st.integers(0, 3)))
+        elif c.unit is None and kind == "digit":
+            low = 0 if c.is_exact_zero() else c.val - 1
+            c = PadicNumber(p, low, 1, 2)
+        coeffs.append(c)
+    cut = draw(st.integers(1, len(coeffs)))
+    extra = draw(st.lists(balls(p), max_size=3))
+    g = PadicSeries(p, coeffs[:cut] + [b for b, _ in extra])
+    return (f, g) if draw(st.booleans()) else (g, f)
 
 
 @st.composite
@@ -307,6 +349,14 @@ class TestKernelsMatchObjectLoops:
     def test_sum(self, case):
         _, f, _, g, _ = case
         assert_matches(lambda: f + g, oracles.series_add_by_objects(f, g))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=agreement_cases())
+    def test_agrees_with(self, case):
+        f, g = case
+        want = oracles.agrees_with_by_objects(f, g)
+        assert without_number_arithmetic(lambda: f.agrees_with(g)) is want
+        assert g.agrees_with(f) is want
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), p=PRIMES)
@@ -623,3 +673,24 @@ class TestRelativePrecisionCeiling:
             assert triples((left * g).coeffs) == triples(want)
             # r = 6 reads g's ceiling of 6 alone; r = 4 takes g's floors
             assert len(calls) == taken
+
+    def test_a_mixed_left_operand_above_the_ceiling_skips_the_right_valuations(
+        self, monkeypatch
+    ):
+        # the left operand's unit forms carry 6, 8 and 7 digits, so it has
+        # no shared relative precision, but its least, 6, is g's ceiling
+        f = PadicSeries(
+            5,
+            [PadicNumber(5, 0, 1, 6), PadicNumber(5, 1, 2, 8), 0, PadicNumber(5, -1, 3, 7)],
+        )
+        h = PadicSeries.from_int_coeffs(5, [1, 5, 0, 7], 6)
+        g = (h * PadicSeries.from_int_coeffs(5, [3, 0, 25, 2], 9)).antiderivative()
+        assert (g._ceiling, g._floors) == (6, None)
+        calls = []
+        real = padic_series._valuations
+        monkeypatch.setattr(
+            padic_series, "_valuations", lambda *a: calls.append(a) or real(*a)
+        )
+        want = oracles.series_mul_by_objects(f, g)
+        assert triples((f * g).coeffs) == triples(want)
+        assert calls == []
