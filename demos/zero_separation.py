@@ -13,7 +13,7 @@ from nadescent import (
     IsolationError,
     PadicSeries,
     isolate_zeros,
-    root_count_positive_valuation,
+    newton_polygon,
     separation_modulus,
 )
 
@@ -22,7 +22,7 @@ P = 5
 
 def show(label: str, coeffs) -> PadicSeries:
     f = PadicSeries.from_int_coeffs(P, coeffs)
-    count = root_count_positive_valuation(f)
+    count, _ = newton_polygon(f)
     print(f"{label}: zeros in pZ_p read off the Newton polygon = {count}")
     return f
 

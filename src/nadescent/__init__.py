@@ -33,7 +33,7 @@ from .padic_series import (
     PadicNumber,
     PadicSeries,
     isolate_zeros,
-    root_count_positive_valuation,
+    newton_polygon,
     separation_modulus,
 )
 from .selmer_bounds import CurveParams, ParityMode, halting_level
@@ -63,8 +63,8 @@ __all__ = [
     "isolate_zeros",
     "iterated_integral",
     "jacobian_order_mod",
+    "newton_polygon",
     "observable_product",
-    "root_count_positive_valuation",
     "run_descent",
     "separation_modulus",
     "shuffle",

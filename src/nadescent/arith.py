@@ -4,8 +4,7 @@ Everything is plain arbitrary-precision integer arithmetic: primality
 (deterministic Miller-Rabin below psi_12, Baillie-PSW above), factorization
 (trial division by the primes below 10^4, then Brent's rho under a budget
 counted in Brent steps, with each prime found divided out of the cofactor at
-once), Moebius values (cached), divisor lists and p-adic valuations of
-integers.
+once) and p-adic valuations of integers.
 """
 
 from __future__ import annotations
@@ -269,36 +268,3 @@ def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> dict[int, int]:
 
 def prime_factors(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> frozenset[int]:
     return frozenset(factorize(n, budget))
-
-
-@lru_cache(maxsize=4096)
-def mobius(n: int) -> int:
-    if n < 1:
-        raise DomainError(f"mobius({n}) undefined")
-    if n == 1:
-        return 1
-    out = 1
-    for q in range(2, n + 1):
-        if q * q > n:
-            break
-        if n % q == 0:
-            n //= q
-            if n % q == 0:
-                return 0
-            out = -out
-    if n > 1:
-        out = -out
-    return out
-
-
-def divisors(n: int) -> list[int]:
-    """Sorted list of positive divisors."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]

@@ -50,6 +50,7 @@ from .errors import (
 )
 from .iterated_words import FormSystem, evaluate_observable
 from .jsonio import (
+    at_path,
     canonical_dumps,
     canonicalize,
     charts_from_json,
@@ -235,20 +236,21 @@ def _cmd_separate(args) -> Tuple[int, Any]:
 def _cmd_integrate(args) -> Tuple[int, Doc]:
     doc_in = load_json_file(args.input)
     forms, p, prec = forms_from_json(doc_in)
-    system = FormSystem(tuple(forms))
+    with at_path("$.forms"):
+        system = FormSystem(tuple(forms))
     observable = require(doc_in, "observable", "$")
-    obs = observable_from_json(observable, p, prec, "$.observable")
-    trunc = args.trunc
+    obs = observable_from_json(observable, p, prec, "$.observable", system.size)
+    trunc, where = args.trunc, "--trunc"
     if trunc is None and "trunc" in doc_in:
-        trunc = parse_int(doc_in["trunc"], "$.trunc")
+        trunc, where = parse_int(doc_in["trunc"], "$.trunc"), "$.trunc"
+    with at_path(where):
+        trunc = system.truncation(trunc)
     series = evaluate_observable(obs, system, trunc)
     bound_raw = doc_in.get("weierstrass_bound")
     if bound_raw is not None:
         bound = parse_int(bound_raw, "$.weierstrass_bound")
-        try:
+        with at_path("$.weierstrass_bound"):
             series = series.with_weierstrass_bound(bound)
-        except DomainError as exc:
-            raise DomainError(f"$.weierstrass_bound: {exc}") from exc
     return EXIT_OK, {"series": series_to_json(series)}
 
 
@@ -304,10 +306,12 @@ def _cmd_report(args) -> Tuple[int, Doc]:
     )
     n_cap = parse_int(config.get("n_cap", DEFAULT_N_CAP), "$.n_cap")
     depth_cap = parse_int(config.get("depth_cap", DEFAULT_DEPTH_CAP), "$.depth_cap")
-    mode = ParityMode.parse(config.get("mode", "faithful"))
-    params = CurveParams(
-        g=genus, bad_prime_count=len(bad), p=p, mw_rank=rank, bad_primes=bad
-    )
+    with at_path("$.mode"):
+        mode = ParityMode.parse(config.get("mode", "faithful"))
+    with at_path("$.curve"):
+        params = CurveParams(
+            g=genus, bad_prime_count=len(bad), p=p, mw_rank=rank, bad_primes=bad
+        )
 
     doc: Doc = {
         "curve": {
@@ -320,7 +324,8 @@ def _cmd_report(args) -> Tuple[int, Doc]:
         "inputs": {"n_cap": n_cap, "depth_cap": depth_cap},
     }
 
-    table = halting_level(params, n_cap=n_cap, mode=mode)
+    with at_path("$.n_cap"):
+        table = halting_level(params, n_cap=n_cap, mode=mode)
     doc["bound_table"] = table.to_json_dict()
     doc["halting_level"] = table.halting_level
     if table.halting_level is None:
@@ -331,7 +336,8 @@ def _cmd_report(args) -> Tuple[int, Doc]:
     charts = charts_from_json(
         {"p": p, "prec": config.get("prec"), "charts": require(config, "charts", "$")}
     )
-    report = separation_modulus(charts, depth_cap=depth_cap)
+    with at_path("$.depth_cap"):
+        report = separation_modulus(charts, depth_cap=depth_cap)
     doc["separation"] = report
     if report.status is not SeparationStatus.SEPARATED:
         doc["status"] = "separation-failed"
@@ -342,7 +348,8 @@ def _cmd_report(args) -> Tuple[int, Doc]:
     count_fp = parse_int(require(jac, "count_fp", "$.jacobian"), "$.jacobian.count_fp")
     jac_g = parse_int(jac.get("g", genus), "$.jacobian.g")
     doc["inputs"]["jacobian"] = {"g": jac_g, "count_fp": count_fp}
-    n_value, doc["warnings"] = _annihilator(p, jac_g, count_fp, report.modulus)
+    with at_path("$.jacobian"):
+        n_value, doc["warnings"] = _annihilator(p, jac_g, count_fp, report.modulus)
     doc["modulus_exponent"] = report.modulus
     doc["annihilator"] = n_value
     doc["enlarged_primes"] = _enlarged_primes(

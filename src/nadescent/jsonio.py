@@ -26,21 +26,16 @@ import json
 import math
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from .arith import check_prime
 from .errors import DigitLimitError, DomainError, InvariantError, check_int
-from .iterated_words import Observable
-from .padic_series import (
-    DEFAULT_PRECISION,
-    Chart,
-    DiskSeries,
-    PadicNumber,
-    PadicSeries,
-)
+from .iterated_words import Observable, _validate_word
+from .padic_series import DEFAULT_PRECISION, PadicNumber, PadicSeries
 from .two_sided_search import _display
 
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
@@ -90,6 +85,16 @@ def require(doc: Any, key: str, path: str) -> Any:
     return doc[key]
 
 
+@contextmanager
+def at_path(path: str) -> Iterator[None]:
+    """Re-raise a DomainError from the block with ``path``, the JSON path or
+    flag of the value it refused, in front of its message."""
+    try:
+        yield
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
+
+
 def _optional(doc: Any, key: str, default: Any = None) -> Any:
     if isinstance(doc, dict) and key in doc:
         return doc[key]
@@ -131,10 +136,8 @@ def coeff_from_json(obj: Any, p: int, path: str) -> Union[int, PadicNumber]:
             val = parse_int(require(obj, "val", path), f"{path}.val")
             unit = parse_int(require(obj, "unit", path), f"{path}.unit")
             cprec = parse_int(require(obj, "prec", path), f"{path}.prec")
-            try:
+            with at_path(path):
                 return PadicNumber(p, val, unit, cprec)
-            except DomainError as exc:
-                raise DomainError(f"{path}: {exc}") from exc
     raise DomainError(
         f"{path}: expected an integer, a decimal string, or an object with "
         f'"zero"/"zero_to"/"val","unit","prec"'
@@ -177,10 +180,8 @@ def series_from_json(
                 f"{path}.trunc: {trunc} disagrees with the {len(coeffs)} "
                 f"supplied coefficients"
             )
-    try:
+    with at_path(path):
         return PadicSeries(p, coeffs, bound, prec)
-    except DomainError as exc:
-        raise DomainError(f"{path}: {exc}") from exc
 
 
 def series_to_json(f: PadicSeries) -> Dict[str, Any]:
@@ -197,11 +198,17 @@ def series_to_json(f: PadicSeries) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def charts_from_json(doc: Any, path: str = "$") -> List[Chart]:
-    """Chart payload: ``{"charts": [{chart_id, p, disks: [...]}]}`` where each
-    disk is ``{center_label, coeffs, trunc, weierstrass_bound}``.  ``p`` (and
-    an optional default ``prec``) may be given once at the top level instead
-    of per chart; all charts must agree on one prime."""
+def charts_from_json(
+    doc: Any, path: str = "$"
+) -> List[Tuple[str, List[Tuple[str, PadicSeries]]]]:
+    """Zero-separation payload: ``{"charts": [{chart_id, p, disks: [...]}]}``
+    where each disk is ``{center_label, coeffs, trunc, weierstrass_bound}``.
+    ``p`` (and an optional default ``prec``) may be given once at the top
+    level instead of per chart; all charts must agree on one prime.
+
+    Returns the ``(chart_id, [(label, series), ...])`` pairs that
+    ``separation_modulus`` takes.  A disk identifier ``chart_id:label`` met
+    a second time is refused with the path of that disk."""
     if isinstance(doc, list):
         doc = {"charts": doc}
     p_raw = _optional(doc, "p")
@@ -210,7 +217,8 @@ def charts_from_json(doc: Any, path: str = "$") -> List[Chart]:
     charts_raw = require(doc, "charts", path)
     if not isinstance(charts_raw, list) or not charts_raw:
         raise DomainError(f"{path}.charts: expected a nonempty array")
-    charts: List[Chart] = []
+    charts = []
+    first: Dict[str, str] = {}  # disk identifier -> path of its first disk
     for i, chart_obj in enumerate(charts_raw):
         cpath = f"{path}.charts[{i}]"
         chart_id = require(chart_obj, "chart_id", cpath)
@@ -237,11 +245,18 @@ def charts_from_json(doc: Any, path: str = "$") -> List[Chart]:
             label = _optional(disk_obj, "center_label", _optional(disk_obj, "label", str(j)))
             if not isinstance(label, str):
                 raise DomainError(f"{dpath}.center_label: expected a string")
+            composite = f"{chart_id}:{label}"
+            if composite in first:
+                raise DomainError(
+                    f"{dpath}: duplicate disk identifier {composite!r}, first "
+                    f"at {first[composite]}"
+                )
+            first[composite] = dpath
             series = series_from_json(
                 disk_obj, chart_p, prec, dpath, require_bound=True
             )
-            disks.append(DiskSeries(label=label, series=series))
-        charts.append(Chart(chart_id=chart_id, disks=tuple(disks)))
+            disks.append((label, series))
+        charts.append((chart_id, disks))
     return charts
 
 
@@ -267,7 +282,12 @@ def forms_from_json(doc: Any, path: str = "$") -> Tuple[List[PadicSeries], int, 
     return forms, p, prec
 
 
-def observable_from_json(doc: Any, p: int, prec: int, path: str) -> Observable:
+def observable_from_json(
+    doc: Any, p: int, prec: int, path: str, size: Optional[int] = None
+) -> Observable:
+    """The observable of ``[{word, coeff}, ...]``; a word with a letter past
+    ``size``, the number of forms when one is given, is refused with its
+    path."""
     if not isinstance(doc, list):
         raise DomainError(f"{path}: expected an array of word terms")
     terms = []
@@ -280,12 +300,12 @@ def observable_from_json(doc: Any, p: int, prec: int, path: str) -> Observable:
             letter if type(letter) is int else parse_int(letter, f"{tpath}.word[{j}]")
             for j, letter in enumerate(word_raw)
         )
+        with at_path(f"{tpath}.word"):
+            _validate_word(word, size)
         coeff = coeff_from_json(require(term_obj, "coeff", tpath), p, f"{tpath}.coeff")
         terms.append((word, coeff))
-    try:
+    with at_path(path):
         return Observable.from_terms(p, terms, prec)
-    except DomainError as exc:
-        raise DomainError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

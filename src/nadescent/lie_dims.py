@@ -11,13 +11,15 @@ Lucas-type sequence
 
     L_0 = 2,   L_1 = 2g,   L_n = 2g * L_{n-1} - L_{n-2}.
 
-Moebius inversion recovers each r_n exactly:
+Each r_n is solved from its own degree of that sum,
 
-    n * r_n = sum_{d | n} mu(n / d) * L_d,
+    n * r_n = L_n - sum_{d | n, d < n} d * r_d,
 
-and the sum must divide exactly -- a non-integer quotient means the inputs
-are corrupt, so it is a hard error rather than a rounding.  The unipotent
-quotient U_n below filtration level n has dim U_n = r_1 + ... + r_{n-1}.
+by a multiples sieve: once r_d is known, d * r_d is added to the running
+sum of every later multiple of d.  The quotient must be exact and positive
+-- anything else means the inputs are corrupt, so it is a hard error rather
+than a rounding.  The unipotent quotient U_n below filtration level n has
+dim U_n = r_1 + ... + r_{n-1}.
 
 Everything here is arbitrary-precision integer arithmetic; no floats.
 """
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
-from .arith import divisors, mobius
 from .errors import DomainError, InvariantError, check_int
 
 #: Default ceiling on n_max; raise explicitly via the ``cap`` argument if a
@@ -76,7 +77,7 @@ class GradedDims:
 
 
 def graded_dims(g: int, n_max: int, cap: int = DEFAULT_LEVEL_CAP) -> GradedDims:
-    """Dimensions r_1..r_n_max of the graded pieces, by Moebius inversion.
+    """Dimensions r_1..r_n_max of the graded pieces, from the divisor sum.
 
     Cached per genus: a longer request extends the longest prefix computed
     so far, a shorter one is sliced from it."""
@@ -102,17 +103,20 @@ def _extend(g: int, known: GradedDims | None, n_max: int) -> GradedDims:
     """A new GradedDims through n_max that reuses the levels ``known`` has."""
     lucas = _extend_lucas(list(known.lucas) if known else [2, 2 * g], g, n_max)
     graded = list(known.graded) if known else []
-    for n in range(len(graded) + 1, n_max + 1):
-        total = sum(mobius(n // d) * lucas[d] for d in divisors(n))
-        if total % n != 0:
-            raise InvariantError(
-                f"Moebius sum {total} for degree {n} (g={g}) is not "
-                f"divisible by {n}"
-            )
-        rn = total // n
-        if rn <= 0:
-            raise InvariantError(f"non-positive graded dimension r_{n}={rn}")
-        graded.append(rn)
+    start = len(graded) + 1
+    # sums[m] = sum of d * r_d over the d < m that divide m, for m >= start
+    sums = [0] * (n_max + 1)
+    for n in range(1, n_max + 1):
+        if n >= start:
+            rn, rest = divmod(lucas[n] - sums[n], n)
+            if rest:
+                raise InvariantError(f"L_{n} less its divisor sum is {rest} mod {n}")
+            if rn <= 0:
+                raise InvariantError(f"non-positive graded dimension r_{n}={rn}")
+            graded.append(rn)
+        weight = n * graded[n - 1]  # for the multiples of n past n, from start on
+        for m in range(max(2 * n, -(-start // n) * n), n_max + 1, n):
+            sums[m] += weight
     return GradedDims(g=g, lucas=tuple(lucas), graded=tuple(graded))
 
 

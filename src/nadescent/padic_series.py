@@ -859,12 +859,6 @@ def newton_polygon(f: PadicSeries) -> tuple[int, int]:
     return top, m
 
 
-def root_count_positive_valuation(f: PadicSeries) -> int:
-    """Number of roots of f (with multiplicity, over the algebraic closure)
-    of valuation >= 1: the Strassmann count I of :func:`newton_polygon`."""
-    return newton_polygon(f)[0]
-
-
 class SeparationStatus(str, Enum):
     SEPARATED = "separated"
     PRECISION_EXHAUSTED = "precision-exhausted"
@@ -1030,21 +1024,6 @@ def isolate_zeros(
 
 
 @dataclass(frozen=True)
-class DiskSeries:
-    label: str
-    series: PadicSeries
-
-
-@dataclass(frozen=True)
-class Chart:
-    chart_id: str
-    disks: tuple[DiskSeries, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "disks", tuple(self.disks))
-
-
-@dataclass(frozen=True)
 class SeparationReport:
     disks: tuple[ZeroDisk, ...]
     modulus: int
@@ -1052,46 +1031,33 @@ class SeparationReport:
     failures: tuple[IsolationFailure, ...]
 
 
-def _as_chart(obj) -> Chart:
-    if isinstance(obj, Chart):
-        return obj
-    chart_id, raw_disks = obj
-    disks = []
-    for i, d in enumerate(raw_disks):
-        if isinstance(d, DiskSeries):
-            disks.append(d)
-        else:
-            disks.append(DiskSeries(label=str(i), series=d))
-    return Chart(chart_id=str(chart_id), disks=tuple(disks))
-
-
 def separation_modulus(
     charts: Iterable, depth_cap: int = DEFAULT_DEPTH_CAP
 ) -> SeparationReport:
     """Isolate zeros across every disk of every chart and aggregate.
 
-    ``charts`` may hold Chart objects or plain (chart_id, [series, ...])
-    pairs.  Disks are processed in order of chart id, then disk position.
+    ``charts`` holds ``(chart_id, disks)`` pairs, each disk a series or a
+    ``(label, series)`` pair; a bare series is labelled by its position.
+    Disks are processed in order of chart id, then disk position, and each
+    is identified as ``chart_id:label``.
 
     The returned modulus M is the maximum emitted depth (at least 1).  The
     status degrades to the worst per-class diagnosis; M is only meaningful
     when the status is SEPARATED.
     """
     check_int(depth_cap, "depth_cap", 1)
-    normalized = [_as_chart(c) for c in charts]
-    tasks: list[tuple[str, PadicSeries]] = []
-    seen = set()
-    for chart in sorted(normalized, key=lambda ch: ch.chart_id):
-        for disk in chart.disks:
-            composite = f"{chart.chart_id}:{disk.label}"
-            if composite in seen:
+    tasks: dict[str, PadicSeries] = {}
+    for chart_id, disks in sorted(charts, key=lambda chart: str(chart[0])):
+        for i, disk in enumerate(disks):
+            label, series = (i, disk) if isinstance(disk, PadicSeries) else disk
+            composite = f"{chart_id}:{label}"
+            if composite in tasks:
                 raise DomainError(f"duplicate disk identifier {composite!r}")
-            seen.add(composite)
-            tasks.append((composite, disk.series))
+            tasks[composite] = series
 
     all_disks: list[ZeroDisk] = []
     all_failures: list[IsolationFailure] = []
-    for composite, series in tasks:
+    for composite, series in tasks.items():
         try:
             found = isolate_zeros(series, chart_id=composite, depth_cap=depth_cap)
         except IsolationError as exc:

@@ -5,8 +5,10 @@ mathematics or brute force than the library under test:
 
 * Lucas values come from exact quadratic-integer powering, not the
   three-term recurrence.
-* Graded dimensions are cross-checked through the product formula
-  for the generating function, not Moebius inversion.
+* Graded dimensions come from Moebius inversion of those Lucas values,
+  where the library solves the divisor sum level by level with a sieve,
+  and are cross-checked through the product formula for the generating
+  function.
 * Bound tables, row by row, come from the defining formulas, with graded
   dimensions inverted from those quadratic-integer Lucas values.
 * Shuffle tables come from brute-force interleaving enumeration.
@@ -85,7 +87,7 @@ from nadescent.padic_series import (
     PadicSeries,
     SeparationStatus,
     ZeroDisk,
-    root_count_positive_valuation,
+    newton_polygon,
 )
 
 
@@ -712,7 +714,7 @@ def isolate_classes_by_recursion(f, chart_id: str, depth_cap: int):
             child_center = center + c * p ** len(digits)
             depth = len(child)
             try:
-                count = root_count_positive_valuation(shifted)
+                count = newton_polygon(shifted)[0]
             except RootCountPrecisionError:
                 failures.append(
                     IsolationFailure(

@@ -2,9 +2,9 @@
 for byte as recorded in ``tests/data/demos/<demo>.txt``.
 
 The demos are the only callers outside the tests of series ``+``,
-``scale_int`` and ``agrees_with``, of ``observable_product`` and of the
-pair form of ``separation_modulus``; the recordings hold what they print
-across refactors of those paths.
+``scale_int`` and ``agrees_with``, of ``observable_product`` and of
+``separation_modulus`` on unlabelled disks; the recordings hold what they
+print across refactors of those paths.
 """
 
 from __future__ import annotations

@@ -146,7 +146,112 @@ def test_report_names_a_composite_bad_prime(tmp_path):
     config["curve"]["bad_primes"] = [15]
     path = write_json(tmp_path, "report.json", config)
     assert invoke_cli(["report", "--config", path]) == (
-        2, "", "error: bad prime: 15 is not prime\n"
+        2, "", "error: $.curve: bad prime: 15 is not prime\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("curve.bad_primes", [11, 5],
+         "$.curve: p=5 must be a prime of good reduction"),
+        ("curve.genus", 1, "$.curve: genus must be an integer >= 2, got 1"),
+        ("mode", "x",
+         "$.mode: unknown parity mode 'x'; expected 'faithful' or 'verbatim'"),
+        ("n_cap", 1, "$.n_cap: n_cap must be an integer >= 2, got 1"),
+        ("depth_cap", 0, "$.depth_cap: depth_cap must be an integer >= 1, got 0"),
+        ("jacobian.g", 0,
+         "$.jacobian: abelian variety dimension must be an integer >= 1, got 0"),
+        ("jacobian.count_fp", 0,
+         "$.jacobian: residue point count must be an integer >= 1, got 0"),
+    ],
+    ids=["bad reduction", "genus", "mode", "n_cap", "depth_cap", "jacobian g",
+         "count_fp"],
+)
+def test_report_refusals_name_their_path(tmp_path, field, value, message):
+    with open(data_path("report_config.json"), encoding="utf-8") as fh:
+        config = json.load(fh)
+    *parents, key = field.split(".")
+    target = config
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+    path = write_json(tmp_path, "report.json", config)
+    assert invoke_cli(["report", "--config", path]) == (2, "", f"error: {message}\n")
+
+
+def _disk(label, coeffs):
+    bound = len(coeffs) - 1
+    return {"center_label": label, "coeffs": coeffs, "weierstrass_bound": bound}
+
+
+def test_charts_are_read_as_id_and_label_pairs():
+    charts = charts_from_json({"p": 5, "charts": [
+        {"chart_id": "a", "disks": [_disk("x", [0, -1, 1]), DISK]}]})
+    assert [(c, [label for label, _ in disks]) for c, disks in charts] == [
+        ("a", ["x", "1"])
+    ]
+    series, want = charts[0][1][1][1], PadicSeries(5, [0, -1, 1], 2)
+    assert (series.coeffs, series.weierstrass_bound) == (want.coeffs, 2)
+
+
+@pytest.mark.parametrize(
+    "charts, message",
+    [
+        ([{"chart_id": "a", "disks": [_disk("x", [0, -1, 1]), _disk("x", [-2, 1])]}],
+         "$.charts[0].disks[1]: duplicate disk identifier 'a:x', first at "
+         "$.charts[0].disks[0]"),
+        ([{"chart_id": "a:b", "disks": [_disk("c", [0, -1, 1])]},
+          {"chart_id": "a", "disks": [_disk("b:c", [-2, 1])]}],
+         "$.charts[1].disks[0]: duplicate disk identifier 'a:b:c', first at "
+         "$.charts[0].disks[0]"),
+    ],
+    ids=["same label", "chart and label collide"],
+)
+def test_separate_names_a_repeated_disk_identifier(tmp_path, charts, message):
+    path = write_json(tmp_path, "charts.json", {"p": 5, "charts": charts})
+    assert invoke_cli(["separate", "--input", path]) == (2, "", f"error: {message}\n")
+
+
+def test_report_names_a_repeated_disk_identifier(tmp_path):
+    with open(data_path("report_config.json"), encoding="utf-8") as fh:
+        config = json.load(fh)
+    config["charts"] = [
+        {"chart_id": "a", "disks": [_disk("x", [0, -1, 1]), _disk("x", [-2, 1])]}
+    ]
+    path = write_json(tmp_path, "report.json", config)
+    assert invoke_cli(["report", "--config", path]) == (2, "", (
+        "error: $.charts[0].disks[1]: duplicate disk identifier 'a:x', first "
+        "at $.charts[0].disks[0]\n"
+    ))
+
+
+INTEGRATE = {"p": 5, "forms": [[1, 2, 3]], "observable": [{"word": [1], "coeff": 1}]}
+
+
+@pytest.mark.parametrize(
+    "change, flags, message",
+    [
+        ({"trunc": 0}, [], "$.trunc: truncation degree 0 outside 1..2"),
+        ({}, ["--trunc", "0"], "--trunc: truncation degree 0 outside 1..2"),
+        ({"trunc": 1}, ["--trunc", "3"], "--trunc: truncation degree 3 outside 1..2"),
+        ({"observable": [{"word": [1], "coeff": 1}, {"word": [1, 2], "coeff": 1}]},
+         [], "$.observable[1].word: letter 2 exceeds the 1 available forms"),
+        ({"observable": [{"word": [0], "coeff": 1}]},
+         [], "$.observable[0].word: word letter must be an integer >= 1, got 0"),
+        ({"forms": [[1, 2, 3], [1, 2]]},
+         [], "$.forms: form 2 is truncated at degree 1, expected 2"),
+        ({"forms": [[1, {"val": -1, "unit": 1, "prec": 5}, 3]]},
+         [], "$.forms: form 1, coefficient 1: valuation -1 < 0; forms must be "
+         "p-integral on the chart"),
+    ],
+    ids=["trunc", "--trunc", "--trunc wins", "letter", "letter 0",
+         "unequal forms", "negative val"],
+)
+def test_integrate_refusals_name_their_path(tmp_path, change, flags, message):
+    path = write_json(tmp_path, "integrate.json", {**INTEGRATE, **change})
+    assert invoke_cli(["integrate", "--input", path] + flags) == (
+        2, "", f"error: {message}\n"
     )
 
 

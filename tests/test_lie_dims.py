@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nadescent import DomainError, cumulative_dim, graded_dims
-from nadescent.arith import divisors
+from nadescent import DomainError, InvariantError, cumulative_dim, graded_dims
 from nadescent.lie_dims import GradedDims
 from nadescent import lie_dims
 
@@ -19,6 +18,10 @@ from .oracles import (
     pbw_product_coeffs,
     rational_target_coeffs,
 )
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 class TestLucasSequence:
@@ -60,6 +63,11 @@ class TestGradedDims:
             dims = graded_dims(g, 24)
             for n in range(1, 25):
                 assert dims.r(n) == graded_dim_by_inversion(g, n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=st.integers(2, 12), n=st.integers(1, 200))
+    def test_matches_moebius_inversion_oracle_to_degree_200(self, g, n):
+        assert graded_dims(g, n).r(n) == graded_dim_by_inversion(g, n)
 
     def test_pbw_generating_function(self):
         for g in (2, 3, 4):
@@ -128,17 +136,32 @@ class TestGradedDims:
 class TestGradedDimsCache:
     def test_longer_request_computes_only_new_levels(self, monkeypatch):
         monkeypatch.setattr(lie_dims, "_cache", {})
-        computed = []
-        real = lie_dims.divisors
-        monkeypatch.setattr(
-            lie_dims, "divisors", lambda n: computed.append(n) or real(n)
-        )
+        extended = []  # (levels known, levels wanted) of each extension
+        real = lie_dims._extend
+
+        def spy(g, known, n_max):
+            extended.append((known.n_max if known else 0, n_max))
+            return real(g, known, n_max)
+
+        monkeypatch.setattr(lie_dims, "_extend", spy)
         graded_dims(3, 63)
-        assert computed == list(range(1, 64))
-        computed.clear()
+        assert extended == [(0, 63)]
         dims = graded_dims(3, 64)
-        assert computed == [64]
+        assert extended == [(0, 63), (63, 64)]
         assert dims.n_max == 64 and dims.r(64) == graded_dim_by_inversion(3, 64)
+        graded_dims(3, 40)
+        assert extended == [(0, 63), (63, 64)]
+
+    def test_an_extension_reads_the_known_levels(self):
+        # a known prefix is taken as it is, never recomputed: a corrupt one
+        # is carried into the result or refused at the first level it breaks
+        lucas = graded_dims(2, 4).lucas  # 2, 4, 14, 52, 194
+        doctored = lie_dims._extend(2, GradedDims(2, lucas[:3], (4, 6)), 3)
+        assert doctored.graded == (4, 6, 16)  # r_3 = (52 - 4) / 3
+        with pytest.raises(InvariantError, match="^L_4 less its divisor sum is 2 mod"):
+            lie_dims._extend(2, GradedDims(2, lucas[:3], (4, 6)), 4)
+        with pytest.raises(InvariantError, match="r_2=-43$"):
+            lie_dims._extend(2, GradedDims(2, lucas[:2], (100,)), 2)
 
     def test_shorter_request_is_an_exact_prefix(self, monkeypatch):
         monkeypatch.setattr(lie_dims, "_cache", {})

@@ -14,7 +14,7 @@ from nadescent import (
     PadicNumber,
     PadicSeries,
     isolate_zeros,
-    root_count_positive_valuation,
+    newton_polygon,
     separation_modulus,
 )
 from nadescent import padic_series
@@ -27,13 +27,10 @@ from nadescent.errors import (
     RootCountPrecisionError,
 )
 from nadescent.padic_series import (
-    Chart,
-    DiskSeries,
     SeparationReport,
     SeparationStatus,
     _isolate_classes,
     _newton_certified,
-    newton_polygon,
 )
 
 from .oracles import (
@@ -307,23 +304,20 @@ class TestNewtonPolygon:
 
     def test_z_squared_minus_p(self):
         assert newton_polygon(S([-5, 0, 1])) == (0, 1)
-        assert root_count_positive_valuation(S([-5, 0, 1])) == 0
 
     def test_z_squared_minus_z(self):
         assert newton_polygon(S([0, -1, 1])) == (1, 1)
-        assert root_count_positive_valuation(S([0, -1, 1])) == 1
 
     def test_z_times_z_minus_p(self):
         # the tie v + i = 2 at i = 1 and i = 2 goes to the larger index
         assert newton_polygon(S([0, -5, 1])) == (2, 2)
-        assert root_count_positive_valuation(S([0, -5, 1])) == 2
 
     def test_constant_one(self):
-        assert root_count_positive_valuation(S([1])) == 0
+        assert newton_polygon(S([1]))[0] == 0
 
     def test_multiplicity_counted(self):
         # z^2 (z - p): origin order 2 plus a slope -1 edge
-        assert root_count_positive_valuation(S([0, 0, -5, 1])) == 3
+        assert newton_polygon(S([0, 0, -5, 1]))[0] == 3
 
     def test_all_zero_polygon(self):
         with pytest.raises(RootCountPrecisionError):
@@ -387,7 +381,6 @@ class TestNewtonPolygon:
             PadicNumber.from_int(5, 1),
         )
         assert newton_polygon(PadicSeries(5, coeffs, 2)) == (2, 2)
-        assert root_count_positive_valuation(PadicSeries(5, coeffs, 2)) == 2
 
     def test_leading_unknown_zero_rules(self):
         unit = PadicNumber.from_int(5, 1)
@@ -396,7 +389,6 @@ class TestNewtonPolygon:
             newton_polygon(low)
         ok = PadicSeries(5, (PadicNumber.zero_to(5, 1), unit), 1)
         assert newton_polygon(ok) == (1, 1)
-        assert root_count_positive_valuation(ok) == 1
 
     def test_trailing_unknown_zero_rules(self):
         unit = PadicNumber.from_int(5, 1)
@@ -409,12 +401,11 @@ class TestNewtonPolygon:
             with pytest.raises(RootCountPrecisionError):
                 newton_polygon(tail(k))
         for k in (-1, 0):
-            assert root_count_positive_valuation(tail(k)) == 0
+            assert newton_polygon(tail(k))[0] == 0
 
     def test_exact_zero_leading_coefficients_count_as_roots(self):
         # z^3 * unit: all three origin roots certified by exact zeros
         assert newton_polygon(S([0, 0, 0, 7])) == (3, 3)
-        assert root_count_positive_valuation(S([0, 0, 0, 7])) == 3
 
 
 class TestIsolateZeros:
@@ -634,24 +625,27 @@ class TestSeparationModulus:
         assert ids == ["alpha:0", "alpha:1", "zeta:0"]
 
     def test_duplicate_disk_labels_rejected(self):
-        chart = Chart(
-            chart_id="a",
-            disks=(
-                DiskSeries(label="x", series=S([-2, 1])),
-                DiskSeries(label="x", series=S([-3, 1])),
-            ),
-        )
-        with pytest.raises(DomainError):
+        chart = ("a", [("x", S([-2, 1])), ("x", S([-3, 1]))])
+        with pytest.raises(DomainError, match="^duplicate disk identifier 'a:x'$"):
             separation_modulus([chart])
+
+    def test_colliding_chart_and_label_rejected(self):
+        charts = [("a:b", [("c", S([-2, 1]))]), ("a", [("b:c", S([-3, 1]))])]
+        with pytest.raises(
+            DomainError, match="^duplicate disk identifier 'a:b:c'$"
+        ):
+            separation_modulus(charts)
 
     def test_same_label_on_different_charts_is_fine(self):
         report = separation_modulus(
-            [
-                Chart("a", (DiskSeries("x", S([-2, 1])),)),
-                Chart("b", (DiskSeries("x", S([-3, 1])),)),
-            ]
+            [("a", [("x", S([-2, 1]))]), ("b", [("x", S([-3, 1]))])]
         )
         assert report.status is SeparationStatus.SEPARATED
+        assert [d.chart_id for d in report.disks] == ["a:x", "b:x"]
+
+    def test_labelled_and_bare_disks_mix(self):
+        report = separation_modulus([("a", [("x", S([-2, 1])), S([-3, 1])])])
+        assert [d.chart_id for d in report.disks] == ["a:x", "a:1"]
 
     @pytest.mark.parametrize(
         "options", [{"depth_cap": 0}, {"depth_cap": 2.5}, {"depth_cap": True}]
@@ -842,13 +836,13 @@ class TestStrassmannCount:
             want = root_count_by_hull(f)
         except RootCountPrecisionError:
             return  # the hull refuses more often; the scan may answer
-        assert root_count_positive_valuation(f) == want
+        assert newton_polygon(f)[0] == want
 
     @settings(max_examples=150, deadline=None)
     @given(f=count_cases())
     def test_a_certified_count_holds_on_every_completion(self, f):
         try:
-            count = root_count_positive_valuation(f)
+            count = newton_polygon(f)[0]
         except RootCountPrecisionError:
             return
         seen = 0
@@ -865,7 +859,7 @@ class TestStrassmannCount:
         f = PadicSeries(5, (unit, unit, PadicNumber.zero_to(5, -1)), 2)
         with pytest.raises(RootCountPrecisionError):
             root_count_by_hull(f)
-        assert root_count_positive_valuation(f) == 0
+        assert newton_polygon(f)[0] == 0
         assert {root_count_by_hull(g) for g in completions(f)} == {0}
 
 

@@ -1,16 +1,18 @@
 """README's list of the names the package root re-exports stays true: every
-listed name exists in its module, and every name in ``nadescent.__all__``
-is listed."""
+listed name exists in its module, every name in ``nadescent.__all__`` is
+listed, and each of them but the error families is used by some demo."""
 
 from __future__ import annotations
 
+import glob
 import importlib
 import os
 import re
 
 import nadescent
 
-README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+ROOT = os.path.dirname(os.path.dirname(__file__))
+README = os.path.join(ROOT, "README.md")
 BULLET = re.compile(r"^- `(nadescent\.\w+)`:(.*?)(?=^- |\Z)", re.MULTILINE | re.DOTALL)
 
 
@@ -45,3 +47,16 @@ def test_every_root_export_is_listed():
     assert not missing, f"nadescent.__all__ names missing from README: {missing}"
     assert "- `__version__`" in export_list()
     assert nadescent.__version__
+
+
+def test_the_root_exports_are_the_names_the_demos_use():
+    demos = "".join(
+        open(path, encoding="utf-8").read()
+        for path in sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+    )
+    unused = [
+        name for name in nadescent.__all__
+        if getattr(nadescent, name).__module__ != "nadescent.errors"
+        and not re.search(rf"\b{name}\b", demos)
+    ]
+    assert not unused, f"root exports no demo uses: {unused}"
