@@ -95,14 +95,13 @@ def _parse_prime_list(text: Optional[str], flag: str) -> frozenset[int]:
 
 
 def _parse_rank_spec(text: str) -> List[int]:
-    """Either a single rank '3' or an inclusive sweep '0..5'."""
-    if ".." in text:
-        lo_s, _, hi_s = text.partition("..")
-        lo, hi = parse_int(lo_s, "--rank"), parse_int(hi_s, "--rank")
-        if lo > hi:
-            raise DomainError(f"--rank: empty sweep {text.strip()!r}")
-        return list(range(lo, hi + 1))
-    return [parse_int(text, "--rank")]
+    """Either a single rank '3' or an inclusive sweep '0..5', of ranks >= 0."""
+    lo_s, dots, hi_s = text.partition("..")
+    lo = check_int(parse_int(lo_s, "--rank"), "--rank", 0)
+    hi = parse_int(hi_s, "--rank") if dots else lo
+    if lo > hi:
+        raise DomainError(f"--rank: empty sweep {text.strip()!r}")
+    return list(range(lo, hi + 1))
 
 
 def _curve_params(args, rank: int) -> CurveParams:
@@ -113,6 +112,8 @@ def _curve_params(args, rank: int) -> CurveParams:
                 f"--bad-count {args.bad_count} disagrees with --bad-primes "
                 f"({len(bad)} primes)"
             )
+        if args.p in bad:
+            raise DomainError(f"--bad-primes: p={args.p} must be of good reduction")
         count = len(bad)
     else:
         if args.bad_count is None:
@@ -157,13 +158,13 @@ def _enlarged_primes(
 
 
 def _cmd_dims(args) -> Tuple[int, Doc]:
-    check_int(args.n_max, "--n", 0)
+    n_max, cap = check_int(args.n_max, "--n", 0), args.cap
     rows = []
-    if args.n_max == 0:
-        check_int(args.genus, "genus", 2)
-    else:
-        dims = graded_dims(args.genus, args.n_max, cap=args.cap)
-        for n in range(1, args.n_max + 1):
+    if n_max:
+        if n_max > cap:
+            raise DomainError(f"--n: {n_max} exceeds --cap {cap}; pass --cap {n_max}")
+        dims = graded_dims(args.genus, n_max, cap=cap)
+        for n in range(1, n_max + 1):
             dim_u = 0 if n == 1 else cumulative_dim(dims, n)
             rows.append(
                 {"n": n, "lucas": dims.lucas_value(n), "r": dims.r(n), "dim_u": dim_u}
@@ -176,7 +177,9 @@ def _cmd_bounds(args) -> Tuple[int, Doc]:
     if len(ranks) != 1:
         raise DomainError("--rank: this command takes a single rank, not a sweep")
     params = _curve_params(args, ranks[0])
-    table = halting_level(params, n_cap=args.n_cap, mode=ParityMode.parse(args.mode))
+    mode = ParityMode.parse(args.mode)
+    with at_path("--n-cap"):
+        table = halting_level(params, n_cap=args.n_cap, mode=mode)
     return EXIT_OK, table.to_json_dict()
 
 
@@ -188,7 +191,8 @@ def _cmd_halt(args) -> Tuple[int, Doc]:
     # holds every lower rank's level
     params = _curve_params(args, ranks[0])
     top = replace(params, mw_rank=ranks[-1])
-    tables = [halting_level(top, n_cap=args.n_cap, mode=mode) for mode in modes]
+    with at_path("--n-cap"):
+        tables = [halting_level(top, n_cap=args.n_cap, mode=mode) for mode in modes]
     levels = [_levels_by_rank(table, ranks) for table in tables]
     results = []
     for i, rank in enumerate(ranks):
@@ -260,9 +264,10 @@ def _cmd_order(args) -> Tuple[int, Doc]:
     if args.count_fp is not None:
         count_fp = args.count_fp
     else:
-        count_fp = count_from_frobenius_poly(
-            [parse_int(s, "--l-poly") for s in args.l_poly.split(",") if s.strip()]
-        )
+        with at_path("--l-poly"):
+            count_fp = count_from_frobenius_poly(
+                [parse_int(s, "--l-poly") for s in args.l_poly.split(",") if s.strip()]
+            )
     n_value, warned = _annihilator(args.p, args.genus, count_fp, args.modulus_exponent)
     doc: Doc = {
         "p": args.p,
@@ -423,12 +428,13 @@ def _order_plain(doc: Doc) -> List[str]:
 class Flag(NamedTuple):
     names: Tuple[str, ...]
     integer: bool  # read with parse_int, errors named by the first spelling
+    least: Optional[int]  # an integer's least value, checked before the command runs
     options: Dict[str, Any]  # passed on to add_argument, "dest" always set
 
 
 def _flag(*names: str, integer: bool = False, **options: Any) -> Flag:
     options.setdefault("dest", names[0].lstrip("-").replace("-", "_"))
-    return Flag(names, integer, options)
+    return Flag(names, integer, options.pop("least", None), options)
 
 
 def _int(*names: str, **options: Any) -> Flag:
@@ -443,15 +449,14 @@ class Command(NamedTuple):
     plain: Optional[Renderer] = None  # None: plain output is the canonical json
 
 
-def _genus(help: str) -> Flag:
-    return _int("--genus", "--g", required=True, help=help)
+def _genus(least: int, help: str) -> Flag:
+    return _int("--genus", "--g", required=True, least=least, help=help)
 
 
 _P = _int("--p", required=True, help="good working prime")
 _INPUT = _flag("--input", required=True, metavar="FILE")
-_JOBS = _int("--jobs", default=1, help="accepted; disks always run in order")
-_FACTOR_BUDGET = _int("--factor-budget", default=DEFAULT_FACTOR_BUDGET)
-_MINIMUMS = ((_JOBS, 1), (_FACTOR_BUDGET, 0))  # checked before a command runs
+_JOBS = _int("--jobs", default=1, least=1, help="accepted; disks always run in order")
+_FACTOR_BUDGET = _int("--factor-budget", default=DEFAULT_FACTOR_BUDGET, least=0)
 _OUTPUT_FLAGS = (  # every command takes these
     _flag(
         "--output",
@@ -465,15 +470,15 @@ _OUTPUT_FLAGS = (  # every command takes these
 
 def _curve_flags(*extra_modes: str) -> Tuple[Flag, ...]:
     return (
-        _genus("curve genus (>= 2)"),
+        _genus(2, "curve genus (>= 2)"),
         _P,
         _flag("--rank", required=True, help="Mordell-Weil rank, or a sweep like 0..5"),
         _flag(
             "--bad-primes", help="comma-separated primes of bad reduction (e.g. 11,13)"
         ),
-        _int("--bad-count", help="size of the bad set, if primes are not listed"),
+        _int("--bad-count", least=0, help="bad set size, if primes are not listed"),
         _int(
-            "--n-cap", default=DEFAULT_N_CAP,
+            "--n-cap", default=DEFAULT_N_CAP, least=2,
             help="largest level to examine (default %(default)s)",
         ),
         _flag(
@@ -489,7 +494,7 @@ COMMANDS: Dict[str, Command] = {
     "dims": Command(
         "graded Lie dimensions L_n, r_n, dim U_n",
         (
-            _genus("curve genus (>= 2)"),
+            _genus(2, "curve genus (>= 2)"),
             _int(
                 "--n-max", "--n", required=True,
                 help="largest degree to list (0 for a header-only table)",
@@ -519,7 +524,7 @@ COMMANDS: Dict[str, Command] = {
     ),
     "separate": Command(
         "isolate zeros across charts (JSON input)",
-        (_INPUT, _int("--depth-cap", default=DEFAULT_DEPTH_CAP), _JOBS),
+        (_INPUT, _int("--depth-cap", default=DEFAULT_DEPTH_CAP, least=1), _JOBS),
         _cmd_separate,
     ),
     "integrate": Command(
@@ -531,14 +536,14 @@ COMMANDS: Dict[str, Command] = {
         "local group order / annihilator N",
         (
             _P,
-            _genus("dimension of the local Jacobian (>= 1)"),
-            _int("--count-fp", help="group order over F_p"),
+            _genus(1, "dimension of the local Jacobian (>= 1)"),
+            _int("--count-fp", least=1, help="group order over F_p"),
             _flag(
                 "--l-poly", metavar="COEFFS",
                 help="comma-separated Frobenius polynomial coefficients; the count "
                 "is their sum (value at 1)",
             ),
-            _int("--modulus-exponent", required=True, help="the level M of Z/p^M"),
+            _int("--modulus-exponent", required=True, least=1, help="level M of Z/p^M"),
             _flag(
                 "--enlarge", metavar="PRIMES",
                 help="also emit T0 = {given primes} union {primes dividing N}",
@@ -552,8 +557,8 @@ COMMANDS: Dict[str, Command] = {
         "two-sided search on a tabulated fixture (JSON input)",
         (
             _INPUT,
-            _int("--n-cap", default=DEFAULT_SEARCH_CAP),
-            _int("--m-cap", default=DEFAULT_SEARCH_CAP),
+            _int("--n-cap", default=DEFAULT_SEARCH_CAP, least=0),
+            _int("--m-cap", default=DEFAULT_SEARCH_CAP, least=0),
         ),
         _cmd_descent_sim,
     ),
@@ -596,17 +601,30 @@ def _render(command: Command, style: str, doc: Doc) -> str:
     return "\n".join(render(canonicalize(doc))) + "\n"
 
 
+# the exit code and stderr line of each refusal, the first class that matches
+_FAILURES = (
+    (DomainError, EXIT_DOMAIN, "error: {}"),
+    (
+        FactorizationTimeoutError, EXIT_BOUND_EXHAUSTED,
+        "error: {}; raise --factor-budget",
+    ),
+    (DigitLimitError, EXIT_BOUND_EXHAUSTED, "error: {}"),
+    (PrecisionError, EXIT_SEPARATION_FAILURE, "error: {}"),
+    (InvariantError, EXIT_INTERNAL, "internal invariant violated: {}"),
+    (NadescentError, EXIT_INTERNAL, "error: {}"),  # a safety net
+)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
     try:
         for flag in command.flags:
-            dest = flag.options["dest"]
+            dest, name = flag.options["dest"], flag.names[0]
             if flag.integer and getattr(args, dest) is not None:
-                setattr(args, dest, parse_int(getattr(args, dest), flag.names[0]))
-        for flag, least in _MINIMUMS:
-            if flag in command.flags:
-                check_int(getattr(args, flag.options["dest"]), flag.names[0], least)
+                setattr(args, dest, parse_int(getattr(args, dest), name))
+                if flag.least is not None:
+                    check_int(getattr(args, dest), name, flag.least)
         code, doc = command.handler(args)
         text = _render(command, args.output, doc)
         if args.out:
@@ -618,24 +636,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             sys.stdout.write(text)
         return code
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except FactorizationTimeoutError as exc:
-        print(f"error: {exc}; raise --factor-budget", file=sys.stderr)
-        return EXIT_BOUND_EXHAUSTED
-    except DigitLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUND_EXHAUSTED
-    except PrecisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEPARATION_FAILURE
-    except InvariantError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except NadescentError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except NadescentError as exc:
+        code, message = next((c, m) for t, c, m in _FAILURES if isinstance(exc, t))
+        print(message.format(exc), file=sys.stderr)
+        return code
 
 
 def entry() -> None:

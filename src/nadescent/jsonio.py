@@ -11,9 +11,13 @@ Two rules keep the wire format trustworthy:
 * Output is canonical: keys sorted, two-space indent, trailing newline.
   Identical inputs produce byte-identical reports, whatever dict insertion
   order produced them.  A dataclass is written as the object of its
-  fields, so a field name is a wire key.  One walk writes the text and
-  converts its ints only at the end, so an int past the int/str digit
-  limit is refused first; ``canonicalize`` is the parse of that text.
+  fields, so a field name is a wire key.  One walk writes each array and
+  object as one join of its members' texts (a plain str, int, bool or None
+  member inline, an object's sorted and quoted keys from a bounded cache)
+  and holds each int's place; when it is done, an int past the int/str digit limit
+  is refused, then a float, a non-string key or an unserializable value,
+  and only then does one ``%`` format convert the ints.  ``canonicalize``
+  is the parse of that text.
 
 Floats are rejected outright -- nothing in this package is approximate in
 the floating-point sense, so a float in a document is always a mistake.
@@ -28,7 +32,7 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
-from functools import cache
+from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -95,6 +99,14 @@ def at_path(path: str) -> Iterator[None]:
         raise DomainError(f"{path}: {exc}") from exc
 
 
+def _nonempty_array(doc: Any, key: str, path: str) -> list:
+    """``doc[key]``, refused with ``path.key`` unless it is a nonempty array."""
+    raw = require(doc, key, path)
+    if not isinstance(raw, list) or not raw:
+        raise DomainError(f"{path}.{key}: expected a nonempty array")
+    return raw
+
+
 def _optional(doc: Any, key: str, default: Any = None) -> Any:
     if isinstance(doc, dict) and key in doc:
         return doc[key]
@@ -155,23 +167,19 @@ def coeff_to_json(x: PadicNumber) -> Dict[str, Any]:
 def series_from_json(
     obj: Any, p: int, prec: int, path: str, require_bound: bool = False
 ) -> PadicSeries:
-    coeffs_raw = require(obj, "coeffs", path)
-    if not isinstance(coeffs_raw, list) or not coeffs_raw:
-        raise DomainError(f"{path}.coeffs: expected a nonempty array")
+    coeffs_raw = _nonempty_array(obj, "coeffs", path)
     coeffs = [
         c if type(c) is int else coeff_from_json(c, p, f"{path}.coeffs[{i}]")
         for i, c in enumerate(coeffs_raw)
     ]
-    bound_raw = _optional(obj, "weierstrass_bound")
-    if bound_raw is None:
-        if require_bound:
-            raise DomainError(
-                f"{path}.weierstrass_bound: missing; zero isolation needs the "
-                f"caller's guarantee of which indices govern the unit disk"
-            )
-        bound = None
-    else:
-        bound = parse_int(bound_raw, f"{path}.weierstrass_bound")
+    bound = _optional(obj, "weierstrass_bound")
+    if bound is not None:
+        bound = parse_int(bound, f"{path}.weierstrass_bound")
+    elif require_bound:
+        raise DomainError(
+            f"{path}.weierstrass_bound: missing; zero isolation needs the "
+            f"caller's guarantee of which indices govern the unit disk"
+        )
     trunc_raw = _optional(obj, "trunc")
     if trunc_raw is not None:
         trunc = parse_int(trunc_raw, f"{path}.trunc")
@@ -214,9 +222,7 @@ def charts_from_json(
     p_raw = _optional(doc, "p")
     p = _prime(p_raw, f"{path}.p") if p_raw is not None else None
     prec = _precision(doc, path)
-    charts_raw = require(doc, "charts", path)
-    if not isinstance(charts_raw, list) or not charts_raw:
-        raise DomainError(f"{path}.charts: expected a nonempty array")
+    charts_raw = _nonempty_array(doc, "charts", path)
     charts = []
     first: Dict[str, str] = {}  # disk identifier -> path of its first disk
     for i, chart_obj in enumerate(charts_raw):
@@ -224,21 +230,14 @@ def charts_from_json(
         chart_id = require(chart_obj, "chart_id", cpath)
         if not isinstance(chart_id, str) or not chart_id:
             raise DomainError(f"{cpath}.chart_id: expected a nonempty string")
-        chart_p_raw = _optional(chart_obj, "p")
-        if chart_p_raw is None:
-            if p is None:
-                raise DomainError(f"{cpath}.p: missing required field")
-            chart_p = p
-        else:
-            chart_p = _prime(chart_p_raw, f"{cpath}.p")
-            if p is not None and chart_p != p:
+        if p is None or _optional(chart_obj, "p") is not None:
+            chart_p = _prime(require(chart_obj, "p", cpath), f"{cpath}.p")
+            if p not in (None, chart_p):
                 raise DomainError(
                     f"{cpath}.p: {chart_p} disagrees with p={p} used elsewhere"
                 )
             p = chart_p
-        disks_raw = require(chart_obj, "disks", cpath)
-        if not isinstance(disks_raw, list) or not disks_raw:
-            raise DomainError(f"{cpath}.disks: expected a nonempty array")
+        disks_raw = _nonempty_array(chart_obj, "disks", cpath)
         disks = []
         for j, disk_obj in enumerate(disks_raw):
             dpath = f"{cpath}.disks[{j}]"
@@ -253,7 +252,7 @@ def charts_from_json(
                 )
             first[composite] = dpath
             series = series_from_json(
-                disk_obj, chart_p, prec, dpath, require_bound=True
+                disk_obj, p, prec, dpath, require_bound=True
             )
             disks.append((label, series))
         charts.append((chart_id, disks))
@@ -270,9 +269,7 @@ def forms_from_json(doc: Any, path: str = "$") -> Tuple[List[PadicSeries], int, 
     series objects."""
     p = _prime(require(doc, "p", path), f"{path}.p")
     prec = _precision(doc, path)
-    forms_raw = require(doc, "forms", path)
-    if not isinstance(forms_raw, list) or not forms_raw:
-        raise DomainError(f"{path}.forms: expected a nonempty array")
+    forms_raw = _nonempty_array(doc, "forms", path)
     forms = []
     for i, form_obj in enumerate(forms_raw):
         fpath = f"{path}.forms[{i}]"
@@ -326,11 +323,8 @@ def descent_fixture_from_json(
     """
 
     def levels(key: str) -> List[frozenset]:
-        raw = require(doc, key, path)
-        if not isinstance(raw, list) or not raw:
-            raise DomainError(f"{path}.{key}: expected a nonempty array of levels")
         out = []
-        for i, level in enumerate(raw):
+        for i, level in enumerate(_nonempty_array(doc, key, path)):
             if not isinstance(level, list):
                 raise DomainError(f"{path}.{key}[{i}]: expected an array")
             elems = set()
@@ -377,19 +371,23 @@ def canonical_dumps(doc: Any) -> str:
     dataclasses as the objects of their fields, tuples as arrays and sets as
     arrays sorted by their elements' canonical values (``["12", "5"]``).
 
-    One walk appends the pieces of the text, an int as itself, and they are
-    converted and joined after it (a set's elements are converted to sort
-    it, once the set is walked).  An int whose bit length puts it past the
-    int/str digit limit is refused when the walk reaches it, anything else
-    (a float, a non-string key, an unserializable value) after the walk."""
-    pieces: List[Any] = []  # strs, and ints converted when the walk is done
+    One walk writes each array and object as one join of its members'
+    texts and keeps the ints, each one's place held by a NUL (which quoted
+    text never contains).  When it is done, an int whose bit length puts it
+    past the int/str digit limit is refused, then anything else the walk
+    met (a float, a non-string key, an unserializable value); only then
+    does one ``%`` format of the text, its own ``%`` doubled and its NULs
+    made ``%s``, convert the ints.  A set's elements are the one exception:
+    they are walked and refused the same way before they are converted to
+    sort the set."""
+    ints: List[int] = []  # the ints of the text, in order
     faults: List[InvariantError] = []
     try:
-        _walk(doc, "\n", pieces, _unprintable_bits(), faults)
+        text = _text(doc, "\n", ints, faults)
+        refuse_unprintable(max(map(int.bit_length, ints), default=0))
         if faults:
             raise faults[0]
-        pieces.append("\n")
-        return "".join(map(str, pieces))
+        return (text + "\n").replace("%", "%%").replace("\0", "%s") % tuple(ints)
     except ValueError:  # int -> str fails only past the digit limit
         raise _digit_limit_error() from None
 
@@ -399,74 +397,101 @@ def canonicalize(doc: Any) -> Any:
     return json.loads(canonical_dumps(doc))
 
 
-def _walk(
-    x: Any, newline: str, out: List[Any], min_bits: float, faults: list
-) -> None:
-    """Append the pieces of the text of ``x`` to ``out``, ``newline`` being a
-    line break and x's indent; the plain types are tested first, by type."""
-    t = type(x)
-    if t is str:
-        out.append(_quote(x))
-    elif t is int:
-        if x.bit_length() >= min_bits:
-            raise _digit_limit_error()
-        out += ('"', x, '"')
-    elif t is dict:
-        inner = newline + "  "
-        sep = "{" + inner
-        try:
-            keys = sorted(x)
-        except TypeError:  # keys of unlike types, refused below
-            keys = list(x)
-        for key in keys:
-            if type(key) is not str and not isinstance(key, str):
-                message = f"non-string key {key!r} reached the serializer"
-                faults.append(InvariantError(message))
-                _walk(x[key], inner, [], min_bits, faults)  # for its long ints
-                continue
-            out.append(sep + _quote(key) + ": ")
-            _walk(x[key], inner, out, min_bits, faults)
-            sep = "," + inner
-        out.append("{}" if sep[0] == "{" else newline + "}")
+def _text(x: Any, newline: str, ints: List[int], faults: List[InvariantError]) -> str:
+    """The text of ``x``, ``newline`` being a line break and x's indent.  The
+    members of an array or object that are plain strs, ints, bools or None
+    are written in its loop, without a call; other values by their type."""
+    t, inner, texts = type(x), newline + "  ", []
+    if t is dict:
+        # the layout of a small object is kept, a large one's made afresh
+        layout = (_layout if len(x) <= 32 else _layout.__wrapped__)(tuple(x))
     elif t is list or t is tuple:
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in x:
-            out.append(sep)
-            _walk(item, inner, out, min_bits, faults)
-            sep = "," + inner
-        out.append("[]" if sep[0] == "[" else newline + "]")
+        for v in x:
+            tv = type(v)
+            if tv is str:
+                texts.append(_quote(v))
+            elif tv is int:
+                ints.append(v)
+                texts.append('"\0"')
+            elif tv is bool or v is None:
+                texts.append(_LITERALS[v])
+            else:
+                texts.append(_text(v, inner, ints, faults))
+        return f"[{inner}{(',' + inner).join(texts)}{newline}]" if texts else "[]"
+    elif (layout := _record_layout(t)) is not None:
+        x = {key: getattr(x, key) for key, _, _ in layout}
     elif t is bool or x is None:
-        out.append(_LITERALS[x])
+        return _LITERALS[x]
     elif isinstance(x, enum.Enum):  # before str and int: a mixin member is its value
-        _walk(x.value, newline, out, min_bits, faults)
+        return _text(x.value, newline, ints, faults)
     elif isinstance(x, str):
-        out.append(_quote(x))
+        return _quote(x)
     elif isinstance(x, int):  # a subclass, kept unconverted as an int is
-        if x.bit_length() >= min_bits:
-            raise _digit_limit_error()
-        out += ('"', x, '"')
+        ints.append(x)
+        return '"\0"'
     elif isinstance(x, (dict, list, tuple)):
-        plain = dict(x) if isinstance(x, dict) else list(x)
-        _walk(plain, newline, out, min_bits, faults)
+        return _text(dict(x) if isinstance(x, dict) else list(x), newline, ints, faults)
     elif isinstance(x, (set, frozenset)):
-        _walk(list(x), newline, [], min_bits, faults)  # refusals before the sort
-        if not faults:
-            _walk(sorted(x, key=_set_order), newline, out, min_bits, faults)
-    elif is_dataclass(x) and not isinstance(x, type):
-        record = {name: getattr(x, name) for name in _field_names(type(x))}
-        _walk(record, newline, out, min_bits, faults)
-    elif isinstance(x, float):
-        message = f"float {x!r} reached the serializer; all arithmetic here is exact"
-        faults.append(InvariantError(message))
+        elements: List[int] = []  # the set's ints, refused before the sort
+        _text(list(x), newline, elements, faults)
+        refuse_unprintable(max(map(int.bit_length, elements), default=0))
+        return "" if faults else _text(sorted(x, key=_set_order), newline, ints, faults)
     else:
-        faults.append(InvariantError(f"unserializable value {x!r}"))
+        faults.append(InvariantError(
+            f"float {x!r} reached the serializer; all arithmetic here is exact"
+            if isinstance(x, float) else f"unserializable value {x!r}"
+        ))
+        return ""
+    for key, head, head_int in layout:
+        if head is None:  # refused after the walk; its value's ints never printed
+            message = f"non-string key {key!r} reached the serializer"
+            faults.append(InvariantError(message))
+            _text(x[key], inner, ints, faults)
+            continue
+        v = x[key]
+        tv = type(v)
+        if tv is str:
+            texts.append(head + _quote(v))
+        elif tv is int:
+            ints.append(v)
+            texts.append(head_int)
+        elif tv is bool or v is None:
+            texts.append(head + _LITERALS[v])
+        else:
+            texts.append(head + _text(v, inner, ints, faults))
+    return f"{{{inner}{(',' + inner).join(texts)}{newline}}}" if texts else "{}"
+
+
+# an object's keys in written order, as (key, '"key": ', '"key": ' + an int's place)
+_Layout = Tuple[Tuple[Any, Optional[str], Optional[str]], ...]
 
 
 @cache
-def _field_names(cls: type) -> Tuple[str, ...]:
-    """The field names of a dataclass, looked up once per class."""
-    return tuple(f.name for f in fields(cls))
+def _record_layout(cls: type) -> Optional[_Layout]:
+    """The layout of the fields of a dataclass written as the object of its
+    fields, or None for a class the walk treats otherwise (a str, int, enum
+    or container before a dataclass, as ever)."""
+    if is_dataclass(cls) and not issubclass(cls, _NOT_RECORDS):
+        return _layout(tuple(f.name for f in fields(cls)))
+    return None
+
+
+# the classes of values the walk treats otherwise when they are dataclasses
+_NOT_RECORDS = (enum.Enum, str, int, dict, list, tuple, set, frozenset, type)
+
+
+@lru_cache(maxsize=1024)
+def _layout(keys: Tuple[Any, ...]) -> _Layout:
+    """The keys of an object in the order they are written, each with the
+    quoted key and colon that start its member and that head followed by an
+    int's place; None for both when a key is not a string, which the walk
+    refuses.  Kept for the last 1024 key sets."""
+    try:
+        keys = tuple(sorted(keys))
+    except TypeError:  # keys of unlike types
+        pass
+    heads = [_quote(k) + ": " if isinstance(k, str) else None for k in keys]
+    return tuple((k, h, h and h + '"\0"') for k, h in zip(keys, heads))
 
 
 def _set_order(x: Any) -> Any:
@@ -487,7 +512,8 @@ def _unprintable_bits() -> float:
 
 
 def refuse_unprintable(bits: int) -> None:
-    """Refuse, before computing it, an output int of at least ``bits`` bits."""
+    """Refuse, before computing or converting it, an output int of at least
+    ``bits`` bits."""
     if bits >= _unprintable_bits():
         raise _digit_limit_error()
 

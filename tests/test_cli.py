@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nadescent import arith, cli
+from nadescent import arith, cli, jsonio
 from nadescent.errors import DigitLimitError, InvariantError
 from nadescent.jsonio import canonical_dumps, canonicalize
 from nadescent.selmer_bounds import CurveParams, ParityMode, halting_level
@@ -189,7 +189,7 @@ class TestHalt:
              "--mode", "both", "--bad-count", "1"]
         )
         assert (code, out, err) == (
-            2, "", "error: Mordell-Weil rank must be an integer >= 0, got -1\n"
+            2, "", "error: --rank must be an integer >= 0, got -1\n"
         )
 
     @settings(max_examples=150, deadline=None)
@@ -700,6 +700,60 @@ class TestReport:
         assert doc["status"] == "complete"
 
 
+def _set(argv, flag, value):
+    """``argv`` with ``flag`` given ``value``: replaced if present, else added."""
+    if flag not in argv:
+        return argv + [flag, value]
+    i = argv.index(flag)
+    return argv[: i + 1] + [value] + argv[i + 2 :]
+
+
+class TestFlagRefusals:
+    """A value a library check refuses is named by its flag, as a value
+    that does not parse is: exit 2, nothing on stdout, one stderr line."""
+
+    HALT = ["halt", "--genus", "2", "--p", "5", "--rank", "1", "--bad-count", "1"]
+    ORDER = ["order", "--p", "5", "--g", "2", "--count-fp", "30",
+             "--modulus-exponent", "1"]
+    DIMS = ["dims", "--g", "2", "--n", "8"]
+    SEPARATE = ["separate", "--input", data_path("charts_simple.json")]
+    DESCENT = ["descent-sim", "--input", data_path("descent_mock1.json")]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (_set(HALT, "--genus", "1"), "--genus must be an integer >= 2, got 1"),
+            (_set(HALT, "--bad-count", "-1"),
+             "--bad-count must be an integer >= 0, got -1"),
+            (HALT[:-2] + ["--bad-primes", "5"],
+             "--bad-primes: p=5 must be of good reduction"),
+            (_set(HALT, "--n-cap", "1"), "--n-cap must be an integer >= 2, got 1"),
+            (_set(HALT, "--n-cap", "20000"),
+             "--n-cap: n_cap must be at most 10001, got 20000"),
+            (_set(HALT, "--rank", "-1"), "--rank must be an integer >= 0, got -1"),
+            (_set(ORDER, "--g", "0"), "--genus must be an integer >= 1, got 0"),
+            (_set(ORDER, "--count-fp", "0"),
+             "--count-fp must be an integer >= 1, got 0"),
+            (_set(ORDER, "--modulus-exponent", "0"),
+             "--modulus-exponent must be an integer >= 1, got 0"),
+            (ORDER[:5] + ["--l-poly", "1,-1"] + ORDER[7:],
+             "--l-poly: polynomial value at 1 is 0; a group order must be >= 1"),
+            (_set(DIMS, "--n", "20000"),
+             "--n: 20000 exceeds --cap 10000; pass --cap 20000"),
+            (_set(DIMS, "--cap", "5"), "--n: 8 exceeds --cap 5; pass --cap 8"),
+            (_set(SEPARATE, "--depth-cap", "0"),
+             "--depth-cap must be an integer >= 1, got 0"),
+            (_set(DESCENT, "--n-cap", "-1"), "--n-cap must be an integer >= 0, got -1"),
+            (_set(DESCENT, "--m-cap", "-1"), "--m-cap must be an integer >= 0, got -1"),
+        ],
+    )
+    def test_a_refusal_names_its_flag(self, argv, message):
+        assert invoke_cli(argv) == (2, "", f"error: {message}\n")
+
+    def test_the_cap_a_dims_refusal_names_is_enough(self):
+        assert invoke_cli(_set(self.DIMS, "--cap", "8"))[0] == 0
+
+
 class TestIntegerFlags:
     @pytest.mark.parametrize(
         "argv, flag",
@@ -943,10 +997,15 @@ class TestCanonicalDataclass:
             canonicalize(doc)
 
 
-_CANONICAL_TEXT = st.text(
-    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aZ\u00e9\u2028\U0001f600')
-    | st.characters()
-)
+# pieces of a str: JSON escapes, and the % placeholders of the emitter's format
+_CANONICAL_TEXT = st.lists(
+    st.sampled_from(
+        list('"\\/\b\f\n\r\t\x00\x1f\x7f aZ\u00e9\u2028\U0001f600')
+        + ["%", "%s", "%%", "%(k)s"]
+    )
+    | st.characters(),
+    max_size=8,
+).map("".join)
 
 
 def _records(inner):
@@ -1001,6 +1060,19 @@ class TestCanonicalEmitter:
     def test_empty_and_nested_containers(self):
         doc = {"b": [], "a": {}, "c": [{}, [[]], {"y": None, "x": True}]}
         assert canonical_dumps(doc) == canonical_text_by_json(doc)
+
+    def test_an_int_free_document_with_percent_signs_is_emitted_verbatim(self):
+        doc = {"100%%": ["%%", "%s", "%(k)s", "%", None, True], "%d": {}}
+        assert canonical_dumps(doc) == canonical_text_by_json(doc)
+        assert '"100%%": [' in canonical_dumps(doc)
+
+    def test_the_key_cache_stays_bounded(self):
+        wide = {f"key {i}": i for i in range(10**4)}
+        doc = [wide] + [{f"k{i}": i} for i in range(10**4)]
+        want = canonicalize_by_walk(doc)
+        assert canonical_dumps(doc) == canonical_text_by_json(want)
+        info = jsonio._layout.cache_info()
+        assert info.currsize == info.maxsize < 10**4
 
 
 class TestParserReuse:

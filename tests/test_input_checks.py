@@ -111,7 +111,7 @@ def test_series_precision_is_checked_only_for_an_int_coefficient():
         (["bounds", "--g", "2", "--p", "1", "--rank", "1", "--bad-count", "1"],
          "p: 1 is not prime"),
         (["dims", "--g", "2", "--n", "-1"], "--n must be an integer >= 0, got -1"),
-        (["dims", "--g", "1", "--n", "0"], "genus must be an integer >= 2, got 1"),
+        (["dims", "--g", "1", "--n", "0"], "--genus must be an integer >= 2, got 1"),
     ],
 )
 def test_cli_messages(argv, message):
