@@ -13,6 +13,8 @@ Subcommands mirror the pipeline stages:
 
 Each one is a single entry of ``COMMANDS``: its help, its flags, a handler
 returning ``(exit code, document)`` and its csv and plain renderers.
+``main`` reads a command line of ``--flag value`` pairs straight from that
+table and builds the argparse parser only for any other command line.
 
 Exit codes: 0 success; 2 invalid input (domain errors, bad usage); 3 a
 configured bound or budget was exhausted before a decision (no halting
@@ -24,12 +26,13 @@ integration); 5 an internal invariant was violated.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import cache
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .arith import DEFAULT_FACTOR_BUDGET
 from .descent_arith import (
@@ -104,6 +107,22 @@ def _parse_rank_spec(text: str) -> List[int]:
     return list(range(lo, hi + 1))
 
 
+# the flag that gives each prime a library check names by its role
+_PRIME_FLAGS = {"p": "--p", "bad prime": "--bad-primes", "S": "--enlarge"}
+
+
+@contextmanager
+def _primes_by_flag() -> Iterator[None]:
+    """Re-raise a library's ``role: n is not prime`` with the role's flag."""
+    try:
+        yield
+    except DomainError as exc:
+        role, _, rest = str(exc).partition(": ")
+        if role not in _PRIME_FLAGS or not rest.endswith(" is not prime"):
+            raise
+        raise DomainError(f"{_PRIME_FLAGS[role]}: {rest}") from exc
+
+
 def _curve_params(args, rank: int) -> CurveParams:
     bad = _parse_prime_list(args.bad_primes, "--bad-primes")
     if bad:
@@ -120,13 +139,10 @@ def _curve_params(args, rank: int) -> CurveParams:
             raise DomainError("one of --bad-primes or --bad-count is required")
         count = args.bad_count
         bad = None
-    return CurveParams(
-        g=args.genus,
-        bad_prime_count=count,
-        p=args.p,
-        mw_rank=rank,
-        bad_primes=bad,
-    )
+    with _primes_by_flag():
+        return CurveParams(
+            g=args.genus, bad_prime_count=count, p=args.p, mw_rank=rank, bad_primes=bad
+        )
 
 
 def _annihilator(p: int, g: int, count_fp: int, m: int) -> Tuple[int, List[str]]:
@@ -193,17 +209,20 @@ def _cmd_halt(args) -> Tuple[int, Doc]:
     top = replace(params, mw_rank=ranks[-1])
     with at_path("--n-cap"):
         tables = [halting_level(top, n_cap=args.n_cap, mode=mode) for mode in modes]
-    levels = [_levels_by_rank(table, ranks) for table in tables]
+    columns = [
+        (mode.value, len(table.rows), _levels_by_rank(table, ranks))
+        for mode, table in zip(modes, tables)
+    ]
     results = []
     for i, rank in enumerate(ranks):
-        for mode, table, by_rank in zip(modes, tables, levels):
+        for value, row_count, by_rank in columns:
             level = by_rank[i]
             results.append(
                 {
                     "mw_rank": rank,
-                    "mode": mode.value,
+                    "mode": value,
                     "halting_level": level,
-                    "levels_examined": len(table.rows) if level is None else level - 1,
+                    "levels_examined": row_count if level is None else level - 1,
                 }
             )
     doc = {
@@ -268,7 +287,10 @@ def _cmd_order(args) -> Tuple[int, Doc]:
             count_fp = count_from_frobenius_poly(
                 [parse_int(s, "--l-poly") for s in args.l_poly.split(",") if s.strip()]
             )
-    n_value, warned = _annihilator(args.p, args.genus, count_fp, args.modulus_exponent)
+    with _primes_by_flag():
+        n_value, warned = _annihilator(
+            args.p, args.genus, count_fp, args.modulus_exponent
+        )
     doc: Doc = {
         "p": args.p,
         "g": args.genus,
@@ -279,9 +301,10 @@ def _cmd_order(args) -> Tuple[int, Doc]:
     }
     if args.enlarge is not None:
         s_primes = _parse_prime_list(args.enlarge, "--enlarge")
-        doc["enlarged_primes"] = _enlarged_primes(
-            s_primes, args.p, count_fp, args.modulus_exponent, args.factor_budget
-        )
+        with _primes_by_flag():
+            doc["enlarged_primes"] = _enlarged_primes(
+                s_primes, args.p, count_fp, args.modulus_exponent, args.factor_budget
+            )
     return EXIT_OK, doc
 
 
@@ -444,7 +467,7 @@ def _int(*names: str, **options: Any) -> Flag:
 class Command(NamedTuple):
     help: str
     flags: Tuple[Flag, ...]
-    handler: Callable[[argparse.Namespace], Tuple[int, Any]]  # any canonicalizable
+    handler: Callable[[Any], Tuple[int, Any]]  # a Namespace to any canonicalizable
     csv: Optional[Renderer] = None  # None: csv output is refused
     plain: Optional[Renderer] = None  # None: plain output is the canonical json
 
@@ -571,9 +594,13 @@ COMMANDS: Dict[str, Command] = {
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of ``COMMANDS``, built on first use and then shared: parsing
-    keeps no state in it, and building it costs more than most commands."""
+def build_parser():
+    """The argparse parser of ``COMMANDS``, built on first use and then
+    shared: parsing keeps no state in it, and importing and building it costs
+    more than most commands.  ``main`` needs it only for a command line that
+    ``parse_canonical`` declines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="nadescent",
         description="Effective nonabelian descent toolkit: dimension tables, "
@@ -585,6 +612,31 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in command.flags + _OUTPUT_FLAGS:
             sub.add_argument(*flag.names, **flag.options)
     return parser
+
+
+def parse_canonical(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The Namespace argparse gives for ``argv``, read straight from
+    ``COMMANDS`` when ``argv`` is a command name then ``--flag value`` pairs:
+    each flag spelled as in the table, no value starting with ``-``, each
+    value among the flag's choices and every required flag given (a repeated
+    flag keeps its last value, as in argparse).  None for any other command
+    line, which argparse then parses, helps or refuses as it always did."""
+    if len(argv) % 2 == 0 or argv[0] not in COMMANDS:
+        return None
+    flags = COMMANDS[argv[0]].flags + _OUTPUT_FLAGS
+    by_name = {name: flag for flag in flags for name in flag.names}
+    values = {flag.options["dest"]: flag.options.get("default") for flag in flags}
+    for name, value in zip(argv[1::2], argv[2::2]):
+        flag = by_name.get(name)
+        if flag is None or value.startswith("-"):
+            return None
+        if value not in flag.options.get("choices", (value,)):
+            return None
+        values[flag.options["dest"]] = value
+    for flag in flags:  # a required flag has no default: None until given
+        if flag.options.get("required") and values[flag.options["dest"]] is None:
+            return None
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def _render(command: Command, style: str, doc: Doc) -> str:
@@ -616,7 +668,8 @@ _FAILURES = (
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parse_canonical(argv) or build_parser().parse_args(argv)
     command = COMMANDS[args.command]
     try:
         for flag in command.flags:

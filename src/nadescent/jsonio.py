@@ -435,7 +435,14 @@ def _text(x: Any, newline: str, ints: List[int], faults: List[InvariantError]) -
         elements: List[int] = []  # the set's ints, refused before the sort
         _text(list(x), newline, elements, faults)
         refuse_unprintable(max(map(int.bit_length, elements), default=0))
-        return "" if faults else _text(sorted(x, key=_set_order), newline, ints, faults)
+        if faults:
+            return ""
+        try:
+            ordered = sorted(x, key=_set_order)
+        except TypeError:  # values that do not compare, such as "a" and ["1"]
+            faults.append(InvariantError(f"set elements with no canonical order: {x!r}"))
+            return ""
+        return _text(ordered, newline, ints, faults)
     else:
         faults.append(InvariantError(
             f"float {x!r} reached the serializer; all arithmetic here is exact"

@@ -58,22 +58,28 @@ mathematics or brute force than the library under test:
 * A class the walk skips without a shift (its residue filter works mod p)
   is checked to be rootless by ultrametric dominance of the constant term
   of the class series, rebuilt one ``PadicNumber`` operation at a time.
+* The command line that ``cli.main`` reads straight from the command table
+  is checked against the Namespace of the argparse parser built from the
+  same table, which parses every line that fast reading declines.
 """
 
 from __future__ import annotations
 
 import enum
+import io
 import itertools
 import json
 import math
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from nadescent import cli
 from nadescent.errors import (
     DigitLimitError,
     DomainError,
@@ -921,3 +927,14 @@ def _convert_by_walk(obj):
     if record is not None:
         return _convert_by_walk(record)
     raise InvariantError(f"unserializable value {obj!r}")
+
+
+def parse_by_argparse(argv: List[str]) -> Optional[dict]:
+    """``vars()`` of the Namespace that the argparse parser built from
+    ``cli.COMMANDS`` gives for ``argv``; None when argparse exits instead
+    (help, or a usage error)."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        return None

@@ -17,12 +17,14 @@ from nadescent.errors import DigitLimitError, InvariantError
 from nadescent.jsonio import canonical_dumps, canonicalize
 from nadescent.selmer_bounds import CurveParams, ParityMode, halting_level
 
-from .conftest import data_path, invoke_cli, write_json
+from .conftest import DATA_DIR, data_path, invoke_cli, write_json
 from .oracles import (
     canonical_text_by_json,
     canonicalize_by_walk,
     enlarged_primes_by_trial_division,
+    parse_by_argparse,
 )
+from .test_golden import CASES
 
 
 def run_json(argv):
@@ -946,6 +948,10 @@ class TestCanonicalDumpsRefusalOrder:
             with pytest.raises(DigitLimitError):
                 canonical_dumps(doc)
 
+    def test_a_set_of_unlike_elements_is_an_invariant_error(self):
+        with pytest.raises(InvariantError, match="no canonical order"):
+            canonical_dumps([frozenset({"a", (1,)})])
+
     def test_a_float_alone_is_an_invariant_error(self):
         with pytest.raises(InvariantError, match="float 1.5"):
             canonical_dumps({"x": [1, 1.5]})
@@ -1084,6 +1090,10 @@ class TestParserReuse:
          "--rank", "1", "--output", "plain"],
         ["dims", "--g", "x", "--n", "4"],
         ["halt", "--g", "2", "--p", "101", "--bad-count", "1", "--rank", "2"],
+        # '=' forms go through the argparse parser
+        ["dims", "--g=3", "--n=6", "--output=csv"],
+        ["halt", "--g", "2", "--p", "101", "--bad-count=1", "--rank", "0..3"],
+        ["dims", "--g=x", "--n", "4"],
     ]
 
     def test_parser_is_built_once(self):
@@ -1096,7 +1106,102 @@ class TestParserReuse:
             cli.build_parser.cache_clear()
             fresh.append(invoke_cli(argv))
         assert in_a_row == fresh
-        assert [code for code, _, _ in in_a_row] == [0, 0, 0, 0, 2, 0]
+        assert [code for code, _, _ in in_a_row] == [0, 0, 0, 0, 2, 0, 0, 0, 2]
+        assert in_a_row[6:] == [in_a_row[0], in_a_row[1], in_a_row[4]]
+
+
+# values of every kind a flag meets: ints, a sweep, each choice, empty,
+# negative, a flag's own look, and text argparse would split at '='
+_ARG_VALUES = st.sampled_from([
+    "5", "0", "101", "0..3", "x=1", "a b", "", "-1", "-", "--", "-h", "--g",
+    "json", "csv", "plain", "faithful", "verbatim", "both",
+])
+_STRAY = st.sampled_from(["-h", "--help", "--", "--bogus", "-g", "halt", "=5"])
+
+
+@st.composite
+def _command_lines(draw):
+    """A command name and mostly its required flags with values, then
+    extra pairs whose flag may be any spelling, an abbreviation, an '='
+    form or a stray token; sometimes a token more or less."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS) + ["", "halts", "-h"]))
+    flags = cli.COMMANDS.get(name, cli.COMMANDS["dims"]).flags + cli._OUTPUT_FLAGS
+    names = [n for f in flags for n in f.names]
+    flag = st.one_of(
+        st.sampled_from(names),
+        st.sampled_from([n[:k] for n in names for k in range(3, len(n))] or names),
+        st.builds(lambda n, v: f"{n}={v}", st.sampled_from(names), _ARG_VALUES),
+        _STRAY,
+    )
+    pairs = [
+        (draw(st.sampled_from(f.names)), draw(_ARG_VALUES))
+        for f in flags
+        if f.options.get("required") and draw(st.integers(0, 9))
+    ]
+    extra = draw(st.lists(st.tuples(flag, _ARG_VALUES), max_size=3))
+    pairs = draw(st.permutations(pairs + extra))
+    argv = [name] + [token for pair in pairs for token in pair]
+    if draw(st.integers(0, 5)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(_STRAY | _ARG_VALUES))
+    if draw(st.integers(0, 9)) == 0:
+        argv.pop(draw(st.integers(0, len(argv) - 1)))
+    return argv
+
+
+class TestCanonicalCommandLines:
+    """``main`` reads a command name then ``--flag value`` pairs straight from
+    the command table; argparse parses, helps or refuses every other line."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(argv=_command_lines())
+    def test_agrees_with_argparse_or_declines(self, argv):
+        want, got = parse_by_argparse(argv), cli.parse_canonical(argv)
+        if got is not None:
+            assert vars(got) == want
+        if want is None:
+            assert got is None
+
+    @pytest.mark.parametrize("argv", [
+        ["halt", "--g", "2", "--p", "101", "--rank", "0..3", "--bad-count", "1"],
+        ["dims", "--genus", "2", "--n-max", "3", "--g", "3", "--output", "csv"],
+        ["order", "--p", "5", "--g", "1", "--count-fp", "9",
+         "--modulus-exponent", "2", "--out", "x", "--output", "plain"],
+    ])
+    def test_reads_a_canonical_line(self, argv):
+        assert vars(cli.parse_canonical(argv)) == parse_by_argparse(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["halt"], ["dims", "--g=2", "--n", "3"],
+        ["dims", "--ge", "2", "--n", "3"],
+        ["dims", "--g", "2", "--n", "-1"], ["dims", "--g", "2", "--n", "3", "--"],
+        ["dims", "--g", "2"], ["dims", "--g", "2", "--n", "3", "--output"],
+        ["dims", "--g", "2", "--n", "3", "--output", "xml"],
+        ["halt", "--g", "2", "--p", "5", "--rank", "1", "--bad-count", "1", "-h", "x"],
+    ])
+    def test_declines_every_other_line(self, argv):
+        assert cli.parse_canonical(argv) is None
+
+    def test_every_golden_line_argparse_takes_is_read_from_the_table(self, monkeypatch):
+        lines = [
+            [a.replace("{data}", DATA_DIR) for a in case["argv"]]
+            for case in CASES.values()
+        ]
+        accepted = [argv for argv in lines if parse_by_argparse(argv) is not None]
+        declined = [argv for argv in accepted if cli.parse_canonical(argv) is None]
+        assert declined == [["dims", "--g", "2", "--n", "-1"]]  # a leading '-'
+
+        def unused():
+            raise AssertionError("argparse built for a canonical line")
+
+        monkeypatch.setattr(cli, "build_parser", unused)
+        for argv in accepted:
+            if argv not in declined:
+                invoke_cli(argv)
+
+    def test_main_without_argv_reads_sys_argv(self, monkeypatch):
+        for argv in (["dims", "--g", "2", "--n", "3"], ["dims", "--g=2", "--n=3"]):
+            monkeypatch.setattr(sys, "argv", ["nadescent"] + argv)
+            assert invoke_cli(None) == invoke_cli(["dims", "--g", "2", "--n", "3"])
 
 
 class TestWeierstrassBound:

@@ -101,15 +101,15 @@ def test_series_precision_is_checked_only_for_an_int_coefficient():
     "argv, message",
     [
         (["order", "--p", "6", "--g", "1", "--count-fp", "5",
-          "--modulus-exponent", "1"], "p: 6 is not prime"),
+          "--modulus-exponent", "1"], "--p: 6 is not prime"),
         (["order", "--p", "5", "--g", "1", "--count-fp", "5",
-          "--modulus-exponent", "1", "--enlarge", "4"], "S: 4 is not prime"),
+          "--modulus-exponent", "1", "--enlarge", "4"], "--enlarge: 4 is not prime"),
         (["halt", "--g", "2", "--p", "101", "--rank", "1", "--bad-primes", "4"],
-         "bad prime: 4 is not prime"),
+         "--bad-primes: 4 is not prime"),
         (["bounds", "--g", "2", "--p", "9", "--rank", "1", "--bad-count", "1"],
-         "p: 9 is not prime"),
+         "--p: 9 is not prime"),
         (["bounds", "--g", "2", "--p", "1", "--rank", "1", "--bad-count", "1"],
-         "p: 1 is not prime"),
+         "--p: 1 is not prime"),
         (["dims", "--g", "2", "--n", "-1"], "--n must be an integer >= 0, got -1"),
         (["dims", "--g", "1", "--n", "0"], "--genus must be an integer >= 2, got 1"),
     ],
