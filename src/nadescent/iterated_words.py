@@ -162,9 +162,11 @@ class FormSystem:
 
 class _Integrals:
     """The integrals a_w of one system to one truncation degree, each suffix
-    built once.  The forms are truncated to degree trunc - 1 once, since
-    product coefficient d needs operand coefficients up to d only, so each
-    form's valuations are taken once however many products read it."""
+    built once by one call ``f_i.antiderivative(a_w)``.  The forms are
+    truncated to degree trunc - 1 once, since product coefficient d needs
+    operand coefficients up to d only, so each form's valuations are taken
+    once however many steps read it, and its packs are kept for all of
+    them; a memoised a_w keeps its packs for every letter that extends it."""
 
     def __init__(self, system: FormSystem, trunc: int):
         self.p = system.p
@@ -182,7 +184,7 @@ class _Integrals:
         for k in reversed(range(known)):
             suffix = word[k:]
             # the product stops at the truncated form's trunc coefficients
-            out = (self.forms[word[k] - 1] * out).antiderivative()
+            out = self.forms[word[k] - 1].antiderivative(out)
             # only a precision at or below 0 can be a refusal
             if min(out.abss) <= 0:
                 for m, (x, prec) in enumerate(zip(out.ints, out.abss)):

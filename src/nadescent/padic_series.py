@@ -61,6 +61,22 @@ counts the pairs of each sum i + j = d, at most n per slot, so no slot
 carries into the next, and its first nonzero slot gives the least sum (an
 all-zero block gives +inf).
 
+*Integrals.*  ``f.antiderivative(g)``, the integral of f g vanishing at 0,
+divides product coefficient d by k = d + 1 = u p^t, u a unit: valuation
+and absolute precision drop by t, relative precision is kept.  With B the
+product's base, a = abs_d and top the largest t, the result's base is
+B - top, and its coefficient d + 1 stores (y u^-1 mod p^(a - B))
+p^(top - t), y the reduced product integer.  One inverse u^-1 mod p^e, e
+the largest a - B, serves every coefficient: u u^-1 = 1 mod p^e holds
+modulo every p^(a - B) with a - B <= e.  Nor need the product be reduced
+first.  Write M = p^(a - B) and S = p^(top - t); the raw convolution x
+has x = y mod M, so (y u^-1 mod M) = (x u^-1 mod M), and (z mod M) S =
+z S mod M S for every integer z.  So x times u^-1 p^(top - t), reduced
+modulo M S = p^(a - t - (B - top)), is the stored integer; x is reduced
+modulo M S first too, which changes nothing and keeps the multiply short
+where the raw x is far longer than M S, as beside a deep valuation.
+``f.antiderivative()`` is the same step with f's own integers for x.
+
 *Substitution.*  Coefficient j of f(c + z) is the sum over m >= j of
 C(m, j) c^(m-j) c_m, known to the least abs(c_m) + v_p(C(m, j)) +
 (m - j) v_p(c) over the live c_m.  Row 0, with C(m, 0) = 1, is f(c) known
@@ -108,11 +124,12 @@ every certified valuation floor at or below d*.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import add, mul, sub
+from operator import add, itemgetter, sub
 from typing import Iterable, Optional, Sequence, Union
 
 from .arith import v_p
@@ -299,16 +316,39 @@ def _normalize(p: int, base: int, total: int, abs_prec) -> PadicNumber:
     return PadicNumber(p, base, total, abs_prec - base)
 
 
-def _reduced(p: int, base: int, ints, abss) -> list:
+def _reduced(p: int, base: int, ints, abss, step=None) -> list:
     """Each ``ints[i]`` reduced modulo ``p^(abss[i] - base)``; 0 where no
-    digit at or above ``p^base`` is known, and for the exact zero.  A
-    precision equal to the one before reuses its modulus."""
-    out, last, mod = [], None, 1
-    for x, a in zip(ints, abss):
+    digit at or above ``p^base`` is known, and for the exact zero.  Given
+    the ``step`` (lifts, factors) of an integral (module docstring,
+    *Integrals*), the result is ``ints[i] factors[i]`` modulo
+    ``p^(abss[i] - base + lifts[i])``, with ``ints[i]`` reduced first so
+    that a raw integer far longer than its modulus is never multiplied
+    whole.
+
+    Each distinct power is built once per call and kept in a table that
+    the call drops, so no modulus outlives it: a deep valuation's powers
+    run to hundreds of thousands of bits.  A power equal to the one before
+    is reused without a lookup."""
+    out, powers, last, modulus = [], {}, None, 1
+    if step is None:
+        for x, a in zip(ints, abss):
+            if base < a < _INF:
+                if a != last:
+                    last, modulus = a, powers.get(a)
+                    if modulus is None:
+                        modulus = powers[a] = p ** (a - base)
+                out.append(x % modulus)
+            else:
+                out.append(0)
+        return out
+    for x, a, lift, c in zip(ints, abss, *step):
         if base < a < _INF:
-            if a != last:
-                last, mod = a, p ** (a - base)
-            out.append(x % mod)
+            k = a + lift
+            if k != last:
+                last, modulus = k, powers.get(k)
+                if modulus is None:
+                    modulus = powers[k] = p ** (k - base)
+            out.append(x % modulus * c % modulus)
         else:
             out.append(0)
     return out
@@ -334,11 +374,34 @@ def _relative_precisions(vals, abss) -> tuple:
 _MAX_BLOCK_BYTES = 16
 
 
-def _min_plus(xs, ys) -> list:
+def _packed(cache: dict, key, build, *args) -> int:
+    """``build(*args)``, kept in ``cache`` under ``key``: a series' own
+    packs (see :meth:`PadicSeries._pack_cache`)."""
+    out = cache.get(key)
+    if out is None:
+        out = cache[key] = build(*args)
+    return out
+
+
+def _one_hot(zs, block: int, w: int, low: int) -> int:
+    """The entries of ``zs`` as one-hot slots: entry z of block i sets byte
+    i * block + (z - low) * w; a +inf entry leaves its block zero."""
+    size = len(zs) * block
+    buf = bytearray(size)
+    for at, z in zip(range(-low * w, size - low * w, block), zs):
+        if z != _INF:
+            buf[at + z * w] = 1
+    return int.from_bytes(buf, "little")
+
+
+def _min_plus(xs, ys, packs=None) -> list:
     """Entry d is the least xs[i] + ys[d - i], for d below the common length
     n, +inf when every such pair holds a +inf: by one long multiply of
     one-hot slots, the tropical Kronecker substitution whose argument is in
-    the module docstring (*Products*).
+    the module docstring (*Products*).  ``packs`` holds, for each operand,
+    the dict in which its one-hot packs are kept by block size (its least
+    entry, the other input of a pack, is fixed by its entries); without
+    it, packs are built for this call only.
 
     The multiply costs more than linearly in its n S w bytes, the direct
     loop, which takes the least of each antidiagonal, about n^2 / 2
@@ -360,16 +423,12 @@ def _min_plus(xs, ys) -> list:
     if block > min(n // 2, _MAX_BLOCK_BYTES):
         rev = ys[::-1]
         return [min(map(add, xs, rev[n - 1 - d :])) for d in range(n)]
+    left, right = (
+        _packed(cache, block, _one_hot, zs, block, w, low)
+        for zs, low, cache in zip((xs, ys), (lx, ly), packs or ({}, {}))
+    )
+    product = left * right
     size = n * block
-    packed = []
-    for zs, low in ((xs, lx), (ys, ly)):
-        buf = bytearray(size)
-        # entry z of block i sets byte i * block + (z - low) * w
-        for at, z in zip(range(-low * w, size - low * w, block), zs):
-            if z != _INF:
-                buf[at + z * w] = 1
-        packed.append(int.from_bytes(buf, "little"))
-    product = packed[0] * packed[1]
     raw = product.to_bytes(max(size, (product.bit_length() + 7) // 8), "little")
     # lstrip leaves k bytes of a block whose first nonzero byte is at block - k
     least = [_INF] + [lx + ly + (block - k) // w for k in range(1, block + 1)]
@@ -377,9 +436,15 @@ def _min_plus(xs, ys) -> list:
     return [least[len(raw[at : at + block].lstrip(b"\0"))] for at in blocks]
 
 
-def _kronecker_product(xs, ys) -> list:
+def _kronecker_pack(zs, width: int) -> int:
+    """The non-negative integers ``zs`` as slots of ``width`` bytes."""
+    return int.from_bytes(b"".join([z.to_bytes(width, "little") for z in zs]), "little")
+
+
+def _kronecker_product(xs, ys, packs=None) -> list:
     """The first n = len(xs) = len(ys) coefficients of the product of two
-    polynomials with non-negative integer coefficients, by one long multiply.
+    polynomials with non-negative integer coefficients, by one long multiply;
+    ``packs`` as for :func:`_min_plus`, keyed by the slot width.
 
     Coefficient d sums at most n products, so it is below the slot size
     2^(bitlen(max xs) + bitlen(max ys) + bitlen(n)) and no slot carries into
@@ -387,13 +452,14 @@ def _kronecker_product(xs, ys) -> list:
     n = len(xs)
     width = (max(xs).bit_length() + max(ys).bit_length() + n.bit_length() + 7) // 8
     size = width * n
-    packed = [
-        int.from_bytes(b"".join([z.to_bytes(width, "little") for z in zs]), "little")
-        for zs in (xs, ys)
-    ]
-    low = (packed[0] * packed[1]) & ((1 << 8 * size) - 1)
-    raw = low.to_bytes(size, "little")
-    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, size, width)]
+    left, right = (
+        _packed(cache, width, _kronecker_pack, zs, width)
+        for zs, cache in zip((xs, ys), packs or ({}, {}))
+    )
+    raw = ((left * right) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    # one call cuts the n slots, each then read as an integer
+    slots = map(itemgetter(0), struct.iter_unpack(f"{width}s", raw))
+    return list(map(int.from_bytes, slots, repeat("little")))
 
 
 @lru_cache(maxsize=256)
@@ -420,12 +486,17 @@ def _binomial_valuations(p: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=256)
 def _antiderivative_table(p: int, n: int, e: int):
-    """For the divisors k = u p^t, k = 1..n: the rows t, u^-1 mod p^e and
-    p^(top - t), where top is the largest t."""
+    """For the divisors k = u p^t, k = 1..n: the rows t; the step of
+    :func:`_reduced`, the lifts top - t and the factors
+    (u^-1 mod p^e) p^(top - t); and top, the largest t."""
     ts = _legendre(p, n)[1:]
-    top, mod = max(ts), p**e
-    inverses = tuple(pow(k // p**t, -1, mod) for k, t in enumerate(ts, 1))
-    return ts, inverses, tuple(p ** (top - t) for t in ts), top
+    top, modulus = max(ts), p**e
+    lifts = tuple(top - t for t in ts)
+    factors = tuple(
+        pow(k // p**t, -1, modulus) * p**lift
+        for k, t, lift in zip(range(1, n + 1), ts, lifts)
+    )
+    return ts, (lifts, factors), top
 
 
 class PadicSeries:
@@ -448,10 +519,17 @@ class PadicSeries:
     is not an exact zero (see the module docstring); a product or weighted
     sum that it shows needs no valuations of this series reads no
     ``_floors``.
+
+    The private slot ``_packs``, None until a product first reads this
+    series, keeps the long integers that product kernels pack from its
+    first n entries (see :meth:`_pack_cache`), so a series multiplied by
+    several partners, such as a form or an integral read by every letter of
+    an alphabet, packs each of them once.
     """
 
     __slots__ = (
-        "p", "base", "ints", "abss", "weierstrass_bound", "_floors", "_ceiling"
+        "p", "base", "ints", "abss", "weierstrass_bound", "_floors", "_ceiling",
+        "_packs",
     )
 
     def __init__(
@@ -501,9 +579,15 @@ class PadicSeries:
             raise DomainError(f"weierstrass bound {bound} outside 0..{n - 1}")
         if bound is not None and bound + 1 < n:
             _check_bound(p, base, ints, abss, bound)
-        values = (p, base, ints, abss, bound, floors, ceiling)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        put = object.__setattr__  # unrolled: a loop over the slots costs more
+        put(self, "p", p)
+        put(self, "base", base)
+        put(self, "ints", ints)
+        put(self, "abss", abss)
+        put(self, "weierstrass_bound", bound)
+        put(self, "_floors", floors)
+        put(self, "_ceiling", ceiling)
+        put(self, "_packs", None)
 
     def _floor_data(self) -> tuple:
         """(valuation floors, least relative precision), kept in the
@@ -514,6 +598,17 @@ class PadicSeries:
             data = (vals, _relative_precisions(vals, self.abss)[0])
             object.__setattr__(self, "_floors", data)
         return data
+
+    def _pack_cache(self, kind: str, n: int) -> dict:
+        """The packs of the first n entries of ``ints``, ``vals`` or
+        ``abss`` (``kind``), by the slot width of a Kronecker pack or the
+        block size of a one-hot pack; made empty on first use.  The packs
+        live and die with the series."""
+        packs = self._packs
+        if packs is None:
+            packs = {}
+            object.__setattr__(self, "_packs", packs)
+        return packs.setdefault((kind, n), {})
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("PadicSeries is immutable")
@@ -589,7 +684,15 @@ class PadicSeries:
 
     def __mul__(self, other: "PadicSeries") -> "PadicSeries":
         """The product, truncated at the shorter operand, by the rule of the
-        module docstring (*Products*).
+        module docstring (*Products*): :meth:`_product`, reduced."""
+        if not isinstance(other, PadicSeries):
+            return NotImplemented
+        base, ints, abss, ceiling = self._product(other)
+        return _series(self.p, base, _reduced(self.p, base, ints, abss), abss, ceiling)
+
+    def _product(self, other: "PadicSeries") -> tuple:
+        """(base, integers, precisions, ceiling) of the product truncated at
+        the shorter operand, its integers the raw convolution, not reduced.
 
         When ``other``'s ceiling is at most the least rel r of this series,
         one pass takes the least of v(a_i) + abs(b_j), and no valuation of
@@ -598,28 +701,22 @@ class PadicSeries:
         :func:`_min_plus`.  r is read over the whole left operand, even
         when the product keeps only a prefix of it, and is at most the
         least rel of any prefix.  The coefficient integers are multiplied by
-        Kronecker substitution.
+        Kronecker substitution.  Every pack comes from its operand's
+        :meth:`_pack_cache`.
         """
-        if not isinstance(other, PadicSeries):
-            return NotImplemented
         _require_same_prime(self, other)
-        p = self.p
         n = min(len(self.ints), len(other.ints))
-        a_ints, a_abss = self.ints[:n], self.abss[:n]
-        b_ints, b_abss = other.ints[:n], other.abss[:n]
         a_vals, least = self._floor_data()
-        a_vals = a_vals[:n]
-        if other._ceiling <= least:
-            abss = _min_plus(a_vals, b_abss)
-        else:
+        vals_abss = (self._pack_cache("vals", n), other._pack_cache("abss", n))
+        abss = _min_plus(a_vals[:n], other.abss[:n], vals_abss)
+        if other._ceiling > least:
             b_vals = other._floor_data()[0][:n]
-            abss = list(
-                map(min, _min_plus(a_abss, b_vals), _min_plus(a_vals, b_abss))
-            )
+            abss_vals = (self._pack_cache("abss", n), other._pack_cache("vals", n))
+            abss = list(map(min, _min_plus(self.abss[:n], b_vals, abss_vals), abss))
+        ints_packs = (self._pack_cache("ints", n), other._pack_cache("ints", n))
+        ints = _kronecker_product(self.ints[:n], other.ints[:n], ints_packs)
         base = self.base + other.base
-        ints = _kronecker_product(a_ints, b_ints)
-        ceiling = min(self._ceiling, other._ceiling)
-        return _series(p, base, _reduced(p, base, ints, abss), abss, ceiling)
+        return base, ints, abss, min(self._ceiling, other._ceiling)
 
     def scale(self, c: PadicNumber) -> "PadicSeries":
         """c f: the one-term :func:`weighted_sum` (see the module docstring,
@@ -634,22 +731,31 @@ class PadicSeries:
 
     # -- calculus ----------------------------------------------------------
 
-    def antiderivative(self) -> "PadicSeries":
-        """Termwise antiderivative with zero constant term.
+    def antiderivative(self, other: Optional["PadicSeries"] = None) -> "PadicSeries":
+        """The termwise antiderivative with zero constant term of this series
+        or, given ``other``, of the product ``self * other``: one step of an
+        iterated integral, in which the product is never built as a series.
 
         The division by k = u p^t (u a unit) moves valuations down by t;
         relative precision of unit coefficients is preserved, absolute
         precision is spent -- exactly the cost the caller has to budget for.
         The base drops by the largest t, so every quotient is an integer.
+        Each coefficient is reduced by one power of p, as the module
+        docstring shows (*Integrals*).
         """
-        p, base, abss = self.p, self.base, self.abss
-        # every stored integer is below p^e, so u^-1 mod p^e serves them all
+        if other is None:
+            base, ints, abss, ceiling = self.base, self.ints, self.abss, self._ceiling
+        elif isinstance(other, PadicSeries):
+            base, ints, abss, ceiling = self._product(other)
+        else:
+            raise DomainError(f"cannot integrate a series times {other!r}")
+        p = self.p
+        # every reduced integer is below p^e, so u^-1 mod p^e serves them all
         e = max((a for a in abss if a < _INF), default=base) - base
-        ts, inverses, shifts, top = _antiderivative_table(p, len(abss), max(e, 0))
-        quotients = _reduced(p, base, list(map(mul, self.ints, inverses)), abss)
-        ints = [0, *map(mul, quotients, shifts)]
+        ts, step, top = _antiderivative_table(p, len(abss), max(e, 0))
+        ints = [0, *_reduced(p, base, ints, abss, step)]
         abss = [_INF, *map(sub, abss, ts)]
-        return _series(p, base - top, ints, abss, self._ceiling)
+        return _series(p, base - top, ints, abss, ceiling)
 
     # -- substitution ------------------------------------------------------
 

@@ -29,18 +29,21 @@ mathematics or brute force than the library under test:
   canonical by two separate walks (a bit-length refusal pass, then a
   conversion pass), and ``canonicalize`` against that document.
 * Every series operation (sum, scalar and integer multiples,
-  antiderivative, p-rescale, Taylor shift and its linear coefficient,
-  evaluation at an integer, product, weighted sum), which runs on the
-  stored coefficient integers, is checked against a loop that chains one
-  ``PadicNumber`` operation per term, so that every intermediate result is
-  rounded by the scalar arithmetic.  A series read from integers, which
-  never builds a ``PadicNumber`` per coefficient, is checked against the
-  stored form of one built from ``PadicNumber.from_int``.  The rationals
-  1/(i + 1) of the antiderivative enter that loop through a ``pow``
-  inverse written here, not through the library.
+  antiderivative, the antiderivative of a product, p-rescale, Taylor shift
+  and its linear coefficient, evaluation at an integer, product, weighted
+  sum), which runs on the stored coefficient integers, is checked against a
+  loop that chains one ``PadicNumber`` operation per term, so that every
+  intermediate result is rounded by the scalar arithmetic.  A series read
+  from integers, which never builds a ``PadicNumber`` per coefficient, is
+  checked against the stored form of one built from
+  ``PadicNumber.from_int``.  The rationals 1/(i + 1) of the antiderivative
+  enter that loop through a ``pow`` inverse written here, not through the
+  library.
 * The min-plus convolution that gives a product its precisions, which
   packs valuations into one long multiply, is checked against a double
-  loop over every pair of entries.
+  loop over every pair of entries, and the Kronecker product of the
+  coefficient integers against the schoolbook product of the generating
+  function oracle.
 * The Strassmann count of roots of valuation >= 1 is checked against the
   lower convex hull of the Newton polygon, with the hull's own stricter
   refusal rule, and against the hull's count on every brute-force
@@ -456,11 +459,14 @@ def derivative_by_objects(f):
 
 
 def antiderivative_by_objects(f):
-    """Coefficients of the antiderivative: c_i times the number 1/(i + 1),
-    carried to at least c_i's own relative precision."""
-    out = [PadicNumber.zero(f.p)]
-    for i, c in enumerate(f.coeffs):
-        inverse = padic_from_fraction(f.p, Fraction(1, i + 1), max(c.prec, 1))
+    """Coefficients of the antiderivative of the series f, or of the series
+    whose coefficients are the PadicNumbers f: c_i times the number
+    1/(i + 1), carried to at least c_i's own relative precision."""
+    coeffs = list(getattr(f, "coeffs", f))
+    p = coeffs[0].p
+    out = [PadicNumber.zero(p)]
+    for i, c in enumerate(coeffs):
+        inverse = padic_from_fraction(p, Fraction(1, i + 1), max(c.prec, 1))
         out.append(c * inverse)
     return out
 

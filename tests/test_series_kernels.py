@@ -22,7 +22,15 @@ from hypothesis import strategies as st
 
 from nadescent import padic_series
 from nadescent.errors import DomainError, PrimeMismatchError
-from nadescent.padic_series import PadicNumber, PadicSeries, _min_plus, weighted_sum
+from nadescent.padic_series import (
+    PadicNumber,
+    PadicSeries,
+    _kronecker_product,
+    _min_plus,
+    _reduced,
+    _series,
+    weighted_sum,
+)
 
 from . import oracles
 
@@ -89,6 +97,37 @@ def uniform_product_cases(draw):
     mixed = series_balls(p, max_len=48).map(lambda x: x[0])
     g = draw(st.one_of(uniform_series(p), mixed))
     return (f, g) if draw(st.booleans()) else (g, f)
+
+
+@st.composite
+def integral_cases(draw):
+    """The two operands of ``f.antiderivative(g)``: mixed-precision series
+    of independent lengths, with exact zeros, ``O(p^k)``, negative bases
+    and unit forms of several precisions, whose products mostly take the
+    two passes of ``_min_plus``; or a uniform operand against either kind,
+    which may take the one pass."""
+    if draw(st.booleans()):
+        _, f, _, g, _ = draw(product_cases())
+        return f, g
+    return draw(uniform_product_cases())
+
+
+@st.composite
+def kronecker_cases(draw):
+    """Two lists of one length n of non-negative integers, from 1 to 260
+    bits wide, so that slots run from one byte to past 16, with a share of
+    zeros that reaches all-zero operands."""
+    n = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def operand():
+        bits = draw(st.sampled_from([1, 8, 20, 64, 130, 260]))
+        gone = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+        return [
+            0 if rng.random() < gone else rng.randrange(1, 1 << bits) for _ in range(n)
+        ]
+
+    return operand(), operand()
 
 
 @st.composite
@@ -397,6 +436,34 @@ class TestKernelsMatchObjectLoops:
             f = data.draw(uniform_series(p, length=n))
             assert_matches(f.antiderivative, oracles.antiderivative_by_objects(f))
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=integral_cases())
+    def test_antiderivative_of_a_product(self, case):
+        f, g = case
+        want = oracles.antiderivative_by_objects(oracles.series_mul_by_objects(f, g))
+        assert_matches(lambda: f.antiderivative(g), want)
+        # one step stores what the product and then its antiderivative store
+        got, steps = f.antiderivative(g), (f * g).antiderivative()
+        assert (got.base, got.ints, got.abss, got._ceiling) == (
+            steps.base, steps.ints, steps.abss, steps._ceiling
+        )
+
+    def test_antiderivative_of_a_product_takes_both_passes(self):
+        # g's 9 digits exceed f's least rel of 6: two passes, and the
+        # other way round one; O(5^2) and the exact zero in both
+        f = PadicSeries(5, [PadicNumber(5, 0, 1, 6), PadicNumber.zero_to(5, 2), 0, 7])
+        g = PadicSeries.from_int_coeffs(5, [3, 0, 25, 2, 1], 9)
+        for left, right in ((f, g), (g, f)):
+            want = oracles.antiderivative_by_objects(
+                oracles.series_mul_by_objects(left, right)
+            )
+            assert_matches(lambda: left.antiderivative(right), want)
+
+    def test_antiderivative_refuses_an_operand_that_is_no_series(self):
+        f = PadicSeries.from_int_coeffs(5, [1, 2], 8)
+        with pytest.raises(DomainError, match="cannot integrate a series times 3"):
+            f.antiderivative(3)
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), p=PRIMES)
     def test_rescale_p(self, data, p):
@@ -499,6 +566,126 @@ class TestMinPlus:
         assert peak < 1 << 20
 
 
+class TestKroneckerProduct:
+    """A product's integers come from ``_kronecker_product``: one long
+    multiply of slots as wide as a coefficient of the product can be, with
+    each operand's packs kept by the series that owns it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=kronecker_cases())
+    def test_matches_the_schoolbook_product(self, case):
+        xs, ys = case
+        want = oracles.poly_mul_trunc(xs, ys, len(xs) - 1)
+        assert _kronecker_product(xs, ys) == want
+        # kept packs give the same product, and a second call reads them
+        packs = ({}, {})
+        assert _kronecker_product(xs, ys, packs) == want
+        kept = [next(iter(cache.values())) for cache in packs]
+        assert _kronecker_product(xs, ys, packs) == want
+        assert all(len(cache) == 1 for cache in packs)
+        assert all(next(iter(c.values())) is k for c, k in zip(packs, kept))
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ([0], [0]),
+            ([7], [9]),
+            ([2**200], [3**150]),
+            ([0, 2**300, 0], [5, 0, 2**170]),
+        ],
+    )
+    def test_one_coefficient_zeros_and_wide_slots(self, xs, ys):
+        assert _kronecker_product(xs, ys) == oracles.poly_mul_trunc(xs, ys, len(xs) - 1)
+
+    def test_a_series_keeps_its_packs_for_partners_of_every_shape(self):
+        unknown = PadicNumber.zero_to(7, 3)
+        f = PadicSeries(7, [3, -10, 0, 49, unknown, 1, 5, 0], None, 25)
+        partners = [
+            PadicSeries.from_int_coeffs(7, [2, 1, 0], 4),
+            PadicSeries.from_int_coeffs(7, [1, 7, -3, 0, 11, 2, 1, 4, 9, 3], 60),
+            PadicSeries(7, [1, PadicNumber(7, 2, 3, 5), 0, 7**40 + 1, 4, 0, 2, 1]),
+            PadicSeries.from_int_coeffs(7, [5] * 12, 2),
+        ]
+        partners.append(partners[1].antiderivative(partners[2]))
+
+        def fresh(h):
+            return _series(h.p, h.base, list(h.ints), list(h.abss), h._ceiling)
+
+        def stored(h):
+            return (h.base, h.ints, h.abss, h._ceiling)
+
+        # twice round, so the second round reads packs kept by the first
+        for g in partners + partners:
+            for left, right in ((f, g), (g, f)):
+                assert stored(left * right) == stored(fresh(left) * fresh(right))
+                got = left.antiderivative(right)
+                assert stored(got) == stored(fresh(left).antiderivative(fresh(right)))
+        assert all(h._packs for h in [f] + partners)
+        assert len({shape for packs in f._packs.values() for shape in packs}) > 1
+
+    def test_a_series_read_by_two_partners_of_one_shape_is_packed_once(
+        self, monkeypatch
+    ):
+        g = PadicSeries.from_int_coeffs(5, [1, 2, 3, 4, 6, 7], 10)
+        partners = [
+            PadicSeries.from_int_coeffs(5, row, 10)
+            # -1 and -2 are units of 24 bits mod 5^10, so both share a width
+            for row in ([-1, 0, 1, 3, 1, 1], [3, -2, 0, 2, 1, 4])
+        ]
+        built = []
+        real = padic_series._kronecker_pack
+        monkeypatch.setattr(
+            padic_series,
+            "_kronecker_pack",
+            lambda zs, width: built.append(width) or real(zs, width),
+        )
+        for f in partners:
+            f.antiderivative(g)
+        # each partner once and g once, at the one width all three share
+        assert len(built) == 3 and len(set(built)) == 1
+
+
+class TestReduced:
+    """``_reduced`` reduces the integers of every product, shift and weighted
+    sum and, with lifts, of every integral step."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        p=PRIMES,
+        base=st.integers(-5, 5),
+        pairs=st.lists(
+            st.tuples(
+                st.integers(-(10**60), 10**60),
+                st.one_of(st.integers(-8, 30), st.just(math.inf)),
+            ),
+            max_size=30,
+        ),
+    )
+    def test_matches_one_power_per_coefficient(self, p, base, pairs):
+        ints, abss = [x for x, _ in pairs], [a for _, a in pairs]
+        want = [x % p ** (a - base) if base < a < math.inf else 0 for x, a in pairs]
+        assert _reduced(p, base, ints, abss) == want
+
+    def test_each_distinct_power_is_built_once_per_call(self):
+        built = []
+
+        class Prime(int):
+            def __pow__(self, k):
+                built.append(k)
+                return int(self) ** k
+
+        abss = [3, 3, 5, math.inf, 3, 5, 0, 7, 7, 3]
+        ints = [10**9 + i for i in range(len(abss))]
+        got = _reduced(Prime(5), 1, ints, abss)
+        want = [x % 5 ** (a - 1) if 1 < a < math.inf else 0 for x, a in zip(ints, abss)]
+        assert got == want
+        # 2, 4 and 6 once each; the coefficients that keep no digit take none
+        assert sorted(built) == [2, 4, 6]
+        built.clear()
+        _reduced(Prime(5), 1, ints, abss)
+        assert sorted(built) == [2, 4, 6]
+
+
 class TestSoundness:
     @settings(max_examples=100, deadline=None)
     @given(case=shift_cases())
@@ -532,6 +719,13 @@ class TestSoundness:
         f, exact = data.draw(series_balls(p))
         want = [Fraction(0)] + [a / (i + 1) for i, a in enumerate(exact)]
         assert all(map(contains, f.antiderivative().coeffs, want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=product_cases())
+    def test_antiderivative_of_a_product(self, case):
+        _, f, fx, g, gx = case
+        want = [Fraction(0)] + [a / (i + 1) for i, a in enumerate(product(fx, gx))]
+        assert all(map(contains, f.antiderivative(g).coeffs, want))
 
     @settings(max_examples=100, deadline=None)
     @given(case=shift_cases())
@@ -621,8 +815,8 @@ class TestRelativePrecisionCeiling:
             f = data.draw(pick)
             op = data.draw(
                 st.sampled_from(
-                    ["new", "+", "*", "*", "anti", "shift", "rescale", "trunc",
-                     "scale_int", "bound", "sum", "sum"]
+                    ["new", "+", "*", "*", "anti", "anti*", "shift", "rescale",
+                     "trunc", "scale_int", "bound", "sum", "sum"]
                 )
             )
             if op == "new":
@@ -636,6 +830,12 @@ class TestRelativePrecisionCeiling:
                 out = f * g
             elif op == "anti":
                 out = f.antiderivative()
+            elif op == "anti*":
+                g = data.draw(pick)
+                coeffs = oracles.series_mul_by_objects(f, g)
+                want = oracles.antiderivative_by_objects(coeffs)
+                assert_matches(lambda: f.antiderivative(g), want)
+                out = f.antiderivative(g)
             elif op == "shift":
                 centers = st.one_of(st.integers(-20, 20), st.sampled_from([p, -p * p]))
                 out = f.shift_center(data.draw(centers))
